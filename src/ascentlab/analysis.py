@@ -21,7 +21,8 @@ from .series import (CoefficientSeries, RealSeries, DEFAULT_DPS, to_mpf,
 
 @dataclass
 class StretchedFitParams:
-    """c_n ~ C * mu^n * mu1^(n^sigma) * n^g with mu1 given through its log."""
+    """c_n ~ C * mu^n * mu1^(n^sigma) * n^g with mu1 given through its log.
+    Values may be float, int, str, Fraction or mpf (see `to_mpf`)."""
 
     mu: float
     sigma: float
@@ -30,15 +31,15 @@ class StretchedFitParams:
     C: float = 1.0
 
     def __post_init__(self):
-        if not self.mu > 0:
+        if not to_mpf(self.mu, DEFAULT_DPS) > 0:
             raise ValueError("mu must be positive")
-        if not 0 < self.sigma < 1:
+        if not 0 < to_mpf(self.sigma, DEFAULT_DPS) < 1:
             raise ValueError("sigma must lie strictly between 0 and 1")
 
 
 @dataclass
 class FactorialFitParams:
-    """c_n ~ C * (alpha*n)! * mu^n * n^g."""
+    """c_n ~ C * (alpha*n)! * mu^n * n^g; values as for StretchedFitParams."""
 
     alpha: float
     mu: float
@@ -46,7 +47,7 @@ class FactorialFitParams:
     C: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
+        if not to_mpf(self.alpha, DEFAULT_DPS) > 0:
             raise ValueError("alpha must be positive")
 
 
@@ -204,14 +205,15 @@ def _log_trace(name, ns, raw, dps):
 
 
 def sigma_estimator_ratio(r: RealSeries) -> EstimatorTrace:
-    """log(r_n/r_{n-1} - 1) against log n; local gradients tend to sigma - 2."""
+    """log|r_n/r_{n-1} - 1| against log n; local gradients tend to sigma - 2.
+    Ratios fall under pure power-law growth, so only exact zeros are skipped."""
     if len(r) < 3:
         raise ValueError("need at least three ratio terms")
     ns, raw = [], []
     with mpmath.workdps(r.dps):
         for n in range(r.first_index + 1, r.last_index + 1):
             ns.append(n)
-            raw.append(r.at(n) / r.at(n - 1) - 1)
+            raw.append(abs(r.at(n) / r.at(n - 1) - 1))
     return _log_trace("sigma_ratio", ns, raw, r.dps)
 
 
@@ -243,7 +245,7 @@ def sigma_local_gradient_known_mu(r: RealSeries, mu) -> RealSeries:
         raise ValueError("mu must be positive")
     out = []
     with mpmath.workdps(r.dps):
-        m = mpf(mu)
+        m = to_mpf(mu, r.dps)
         for n in range(r.first_index + 1, r.last_index + 1):
             cur = r.at(n) / m - 1
             prev = r.at(n - 1) / m - 1
@@ -260,7 +262,7 @@ def mu1_estimator(r: RealSeries, mu, sigma) -> RealSeries:
         raise ValueError("need mu > 0 and 0 < sigma < 1")
     out = []
     with mpmath.workdps(r.dps):
-        m, s = mpf(mu), mpf(sigma)
+        m, s = to_mpf(mu, r.dps), to_mpf(sigma, r.dps)
         for n in r.indices():
             out.append((r.at(n) / m - 1) * mpf(n) ** (1 - s))
     return RealSeries(out, first_index=r.first_index, dps=r.dps)
@@ -276,7 +278,7 @@ def g_estimator(c, mu, sigma, dps=None) -> EstimatorTrace:
     ns, vals = _values_with_indices(c)
     xs, ys, kept = [], [], []
     with mpmath.workdps(d):
-        m, s = mpf(mu), mpf(sigma)
+        m, s = to_mpf(mu, d), to_mpf(sigma, d)
         logmu = mpmath.log(m)
         logd = [mpmath.log(mpf(v)) - n * logmu for n, v in zip(ns, vals)]
         for i in range(1, len(ns)):
@@ -303,7 +305,7 @@ def mu1_refined(c, mu, sigma, g, dps=None) -> RealSeries:
     ns, vals = _values_with_indices(c)
     out = []
     with mpmath.workdps(d):
-        m, s, gg = mpf(mu), mpf(sigma), mpf(g)
+        m, s, gg = to_mpf(mu, d), to_mpf(sigma, d), to_mpf(g, d)
         logmu = mpmath.log(m)
         logf = [mpmath.log(mpf(v)) - gg * mpmath.log(n) - n * logmu
                 for n, v in zip(ns, vals)]
@@ -321,7 +323,7 @@ def fit_ratio4(r: RealSeries, sigma, k) -> LinearFitWindow:
     if k - 2 < r.first_index or k + 1 > r.last_index:
         raise ValueError(f"window k={k} outside ratio series range")
     with mpmath.workdps(r.dps):
-        s = mpf(sigma)
+        s = to_mpf(sigma, r.dps)
         rows, rhs = [], []
         for n in range(k - 2, k + 2):
             nn = mpf(n)
@@ -431,19 +433,14 @@ def synth_series(params, n_terms, dps=DEFAULT_DPS) -> RealSeries:
     out = []
     with mpmath.workdps(dps):
         if isinstance(params, StretchedFitParams):
-            mu = mpf(params.mu)
-            sig = mpf(params.sigma)
-            lm1 = mpf(params.log_mu1)
-            g = mpf(params.g)
-            C = mpf(params.C)
+            mu, sig, lm1, g, C = (to_mpf(v, dps) for v in (
+                params.mu, params.sigma, params.log_mu1, params.g, params.C))
             for n in range(1, n_terms + 1):
                 nn = mpf(n)
                 out.append(C * mu ** nn * mpmath.e ** (lm1 * nn ** sig) * nn ** g)
         elif isinstance(params, FactorialFitParams):
-            al = mpf(params.alpha)
-            mu = mpf(params.mu)
-            g = mpf(params.g)
-            C = mpf(params.C)
+            al, mu, g, C = (to_mpf(v, dps) for v in (
+                params.alpha, params.mu, params.g, params.C))
             for n in range(1, n_terms + 1):
                 nn = mpf(n)
                 out.append(C * mpmath.gamma(al * nn + 1) * mu ** nn * nn ** g)

@@ -25,8 +25,6 @@ from .errors import (AllFitsFailedError, CapExceededError,
                      VanishingMultiplierError)
 from .series import DEFAULT_DPS
 
-PATTERNS = ("none", "000", "100", "110", "120")
-ALGOS = ("brute", "dp", "dp-exp", "dp-poly")
 MODELS = ("power", "stretched", "factorial", "factorial-egf")
 
 
@@ -36,19 +34,8 @@ def _fail(prefix, message, code=1):
 
 
 def cmd_enumerate(args):
-    if args.pattern not in PATTERNS:
-        return _fail("usage", f"pattern must be one of {PATTERNS}", 2)
-    if args.algo not in ALGOS:
-        return _fail("usage", f"algo must be one of {ALGOS}", 2)
     try:
-        if args.pattern == "none":
-            if args.algo == "brute":
-                series = dp.enumerate_ascent(args.terms)  # closed recursion is exact
-            elif args.algo == "dp":
-                series = dp.enumerate_ascent(args.terms)
-            else:
-                return _fail("usage", f"algo {args.algo} needs a pattern", 2)
-        elif args.algo == "brute":
+        if args.algo == "brute":
             series = sq.brute_force_avoiders(args.pattern, args.terms,
                                              allow_over_cap=args.override_caps)
         else:
@@ -242,13 +229,16 @@ def cmd_verify(args):
 
 
 def build_parser():
+    # the engine table's patterns and algorithms, plus the exhaustive oracle
+    patterns = list(dict.fromkeys(pattern for pattern, _ in dp.ENGINES))
+    algos = ["brute", *dict.fromkeys(algo for _, algo in dp.ENGINES)]
     p = argparse.ArgumentParser(prog="ascentlab",
                                 description="Pattern-avoiding ascent sequence workbench")
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("enumerate", help="write a series b-file")
-    pe.add_argument("--pattern", required=True, choices=PATTERNS)
-    pe.add_argument("--algo", default="dp", choices=ALGOS)
+    pe.add_argument("--pattern", required=True, choices=patterns)
+    pe.add_argument("--algo", default="dp", choices=algos)
     pe.add_argument("--terms", type=int, required=True)
     pe.add_argument("--output", required=True)
     pe.add_argument("--override-caps", action="store_true")
@@ -276,7 +266,7 @@ def build_parser():
     pv = sub.add_parser("verify", help="run the cross-check suite")
     pv.add_argument("--max-n", type=int, default=10)
     pv.add_argument("--input")
-    pv.add_argument("--pattern")
+    pv.add_argument("--pattern", choices=patterns)
     pv.set_defaults(func=cmd_verify)
     return p
 

@@ -7,9 +7,13 @@ Two engine styles:
   arrays with running prefix sums, memory bounded to two layers. Used where
   hundreds of terms are wanted.
 * Set-state engines (exponential 000, 110, 120): states carry a bit-set of
-  letter values. A forward sweep over packed-integer states produces the
-  series; a memoized recursion over (n, a, l, S) keys produces an
+  letter values. Each pattern has one transition rule over packed state keys
+  (see `_pack`). A forward sweep of the rule produces the series; a memoized
+  recursion through the same rule, keyed by (n, a, l, S), produces an
   introspectable value cache for repetition analysis.
+
+`ENGINES` maps each (pattern, algorithm) pair to its engine; the CLI, the
+dispatcher and the cross-checks all read it.
 
 State conventions: `a` is the prior ascent count, `l` the previous letter;
 value erasures can drive either to -1, which needs no special handling.
@@ -61,10 +65,6 @@ def bitset(values) -> int:
     for v in values:
         s |= 1 << v
     return s
-
-
-def bitset_values(S: int):
-    return [i for i in range(S.bit_length()) if (S >> i) & 1]
 
 
 # ---------------------------------------------------------------------------
@@ -247,46 +247,83 @@ def enumerate_000_polynomial(n_terms: int) -> CoefficientSeries:
 
 
 # ---------------------------------------------------------------------------
-# set-state engines: transitions
+# set-state engines: packed keys and transition rules
 # ---------------------------------------------------------------------------
 
-def _children_000(a, l, S):
-    """Letter i in S: i is now proscribed, erase it (a, l shift down)."""
+# Largest a or l a key can hold: a+2 and l+2 each take one byte.
+_FIELD_TOP = 0xFF - 2
+
+
+def _pack(S, a, l):
+    """Key of state (a, l, S): S << 16 | (a+2) << 8 | (l+2).
+
+    The rules below read and write this layout directly; a and l range over
+    -2.._FIELD_TOP, and a value outside that range raises instead of
+    spilling into the neighbouring field.
+    """
+    if not (-2 <= a <= _FIELD_TOP and -2 <= l <= _FIELD_TOP):
+        raise ValueError(f"state a={a}, l={l} does not fit the key fields "
+                         f"(-2..{_FIELD_TOP})")
+    return S << 16 | (a + 2) << 8 | (l + 2)
+
+
+def _unpack(key):
+    """(a, l, S) of a packed key."""
+    return (key >> 8 & 0xFF) - 2, (key & 0xFF) - 2, key >> 16
+
+
+# A rule maps a state's key to the keys of its children, one per next letter
+# i = 0..a+1; a letter above l adds an ascent (256 in the a field).
+
+def _rule_000(key):
+    """Children of a 000 state. A letter i in S is now proscribed: erase it,
+    closing the gap in S, and a, l shift down."""
+    l = (key & 0xFF) - 2
+    base = key & 0xFF00
+    S = key >> 16
     out = []
-    for i in range(a + 2):
-        chi = 1 if l < i else 0
-        if (S >> i) & 1:
-            out.append((a + chi - 1, i - 1, renumber_remove(S & ~(1 << i), i)))
+    for i in range(base >> 8):
+        if S >> i & 1:
+            out.append((((((S >> (i + 1)) << i) | (S & ((1 << i) - 1))) << 16)
+                        | (base + (256 if l < i else 0) - 256) | (i + 1)))
         else:
-            out.append((a + chi, i, S | (1 << i)))
+            out.append(((S | (1 << i)) << 16) | (base + (256 if l < i else 0)) | (i + 2))
     return out
 
 
-def _children_110(a, l, S):
-    """Letter i in S: everything below i dies; i itself renumbers to 0 and
-    stays in the set; the new last letter is recorded as 0."""
+def _rule_110(key):
+    """Children of a 110 state. A letter i in S: everything below i dies, i
+    itself renumbers to 0 and stays in the set, and the last letter is 0."""
+    l = (key & 0xFF) - 2
+    base = key & 0xFF00
+    S = key >> 16
     out = []
-    for i in range(a + 2):
-        chi = 1 if l < i else 0
-        if (S >> i) & 1:
-            out.append((a + chi - i, 0, S >> i))
+    for i in range(base >> 8):
+        if S >> i & 1:
+            out.append(((S >> i) << 16) | (base + (256 if l < i else 0) - (i << 8)) | 2)
         else:
-            out.append((a + chi, i, S | (1 << i)))
+            out.append(((S | (1 << i)) << 16) | (base + (256 if l < i else 0)) | (i + 2))
     return out
 
 
-def _children_120(a, l, S):
-    """Everything below the largest seen value under i dies; the shifted
-    letter i-s joins the shifted set. S always retains 0."""
+def _rule_120(key):
+    """Children of a 120 state. Everything below s, the largest seen value
+    under i, dies; the shifted letter i-s joins the shifted set, so S always
+    retains 0."""
+    l = (key & 0xFF) - 2
+    base = key & 0xFF00
+    S = key >> 16
     out = []
-    for i in range(a + 2):
-        below = S & ((1 << i) - 1)
-        s = below.bit_length() - 1 if below else 0
-        out.append((a + (1 if l < i else 0) - s, i - s, (S >> s) | (1 << (i - s))))
+    s = 0  # largest value of S below i, or 0
+    for i in range(base >> 8):
+        if i and S >> (i - 1) & 1:
+            s = i - 1
+        out.append((((S >> s) | (1 << (i - s))) << 16)
+                   | (base + (256 if l < i else 0) - (s << 8)) | (i - s + 2))
     return out
 
 
-_CHILDREN = {"000": _children_000, "110": _children_110, "120": _children_120}
+_RULES = {"000": _rule_000, "110": _rule_110, "120": _rule_120}
 _SET_CAPS = {"000": CAP_000_EXPONENTIAL, "110": CAP_110, "120": CAP_120}
 
 
@@ -301,59 +338,20 @@ def _check_cap(variant, n_terms, allow_over_cap):
 
 
 def _forward_series(variant, n_terms):
-    """One forward sweep over prefix states; the mass at depth d sums to the
-    count at length d+1. States pack as (S << 16) | (a+2) << 8 | (l+2).
-
-    Transitions are inlined per variant; dict traffic dominates the cost.
-    """
-    layer = {(1 << 16) | (2 << 8) | 2: 1}
+    """One forward sweep over packed prefix states; the mass at depth d sums
+    to the count at length d+1. Every variant runs through its rule; dict
+    traffic dominates the cost."""
+    _pack(0, n_terms - 1, n_terms)  # deepest states: a <= n-1, l <= a+1 <= n
+    rule = _RULES[variant]
+    layer = {_pack(1, 0, 0): 1}
     terms = [1]
     for _ in range(n_terms - 1):
         new = {}
         get = new.get
-        if variant == "120":
-            for key, w in layer.items():
-                l = (key & 0xFF) - 2
-                a = (key >> 8 & 0xFF) - 2
-                S = key >> 16
-                base = (a + 2) << 8
-                for i in range(a + 2):
-                    below = S & ((1 << i) - 1)
-                    s = below.bit_length() - 1 if below else 0
-                    nk = ((((S >> s) | (1 << (i - s))) << 16)
-                          | (base + (256 if l < i else 0) - (s << 8)) | (i - s + 2))
-                    v = get(nk)
-                    new[nk] = w if v is None else v + w
-        elif variant == "110":
-            for key, w in layer.items():
-                l = (key & 0xFF) - 2
-                a = (key >> 8 & 0xFF) - 2
-                S = key >> 16
-                base = (a + 2) << 8
-                for i in range(a + 2):
-                    if S >> i & 1:
-                        nk = ((S >> i) << 16) | (base + (256 if l < i else 0) - (i << 8)) | 2
-                    else:
-                        nk = ((S | (1 << i)) << 16) | (base + (256 if l < i else 0)) | (i + 2)
-                    v = get(nk)
-                    new[nk] = w if v is None else v + w
-        elif variant == "000":
-            for key, w in layer.items():
-                l = (key & 0xFF) - 2
-                a = (key >> 8 & 0xFF) - 2
-                S = key >> 16
-                base = (a + 2) << 8
-                for i in range(a + 2):
-                    if S >> i & 1:
-                        low = S & ((1 << i) - 1)
-                        nk = (((((S >> (i + 1)) << i) | low) << 16)
-                              | (base + (256 if l < i else 0) - 256) | (i + 1))
-                    else:
-                        nk = ((S | (1 << i)) << 16) | (base + (256 if l < i else 0)) | (i + 2)
-                    v = get(nk)
-                    new[nk] = w if v is None else v + w
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
+        for key, w in layer.items():
+            for nk in rule(key):
+                v = get(nk)
+                new[nk] = w if v is None else v + w
         layer = new
         terms.append(sum(layer.values()))
     return CoefficientSeries(terms, first_index=1)
@@ -379,14 +377,14 @@ class MemoCache:
     def __len__(self):
         return len(self.data)
 
-    def value(self, n, a, l, S):
-        return suffix_count(self.variant, n, a, l, S, cache=self)
-
 
 def suffix_count(variant, n, a, l, S, cache=None):
     """f(n, a, l, S) for the given recursion variant, memoized.
 
-    S may be an iterable of values or a bitmask int.
+    S may be an iterable of values or a bitmask int. Children come from the
+    variant's rule, the one the forward sweep runs; the cache holds them
+    unpacked, keyed by (n, a, l, S). A state whose descendants would not
+    fit the key fields raises ValueError.
     """
     if not isinstance(S, int):
         S = bitset(S)
@@ -394,38 +392,39 @@ def suffix_count(variant, n, a, l, S, cache=None):
         cache = MemoCache(variant)
     elif cache.variant != variant:
         raise ValueError(f"cache belongs to variant {cache.variant!r}")
-    children = _CHILDREN[variant]
+    rule = _RULES[variant]
     data = cache.data
     root = (n, a, l, S)
     if n == 0:
         return 1
-    stack = [root]
+    _pack(S, a + n - 1, l)  # the states recursed into reach a, l <= a + n - 1
+    stack = [(root, _pack(S, a, l))]
     while stack:
-        key = stack[-1]
+        key, packed = stack[-1]
         if key in data:
             cache.hits += 1
             stack.pop()
             continue
-        kn, ka, kl, kS = key
-        kids = children(ka, kl, kS)
-        total = 0
-        pending = False
-        for ca, cl, cS in kids:
-            if kn == 1:
-                total += 1
-                continue
-            ck = (kn - 1, ca, cl, cS)
-            v = data.get(ck)
-            if v is None:
-                if not pending:
+        kn = key[0]
+        kids = rule(packed)
+        if kn == 1:
+            total = len(kids)
+        else:
+            total = 0
+            pending = False
+            for nk in kids:
+                ck = (kn - 1, *_unpack(nk))
+                v = data.get(ck)
+                if v is None:
                     pending = True
-                stack.append(ck)
-            elif not pending:
-                total += v
-        if not pending:
-            cache.misses += 1
-            data[key] = total
-            stack.pop()
+                    stack.append((ck, nk))
+                elif not pending:
+                    total += v
+            if pending:
+                continue
+        cache.misses += 1
+        data[key] = total
+        stack.pop()
     return data[root]
 
 
@@ -457,38 +456,41 @@ def enumerate_120(n_terms, allow_over_cap=False) -> CoefficientSeries:
     return _forward_series("120", n_terms)
 
 
+# (pattern, algo) -> name of the engine in this module; 'none' counts all
+# ascent sequences. Names are resolved at call time, so an engine rebound on
+# the module (a profiling wrapper, say) serves every caller.
+ENGINES = {
+    ("none", "dp"): "enumerate_ascent",
+    ("000", "dp"): "enumerate_000_polynomial",
+    ("000", "dp-poly"): "enumerate_000_polynomial",
+    ("000", "dp-exp"): "enumerate_000_exponential",
+    ("100", "dp"): "enumerate_100",
+    ("110", "dp"): "enumerate_110",
+    ("110", "dp-exp"): "enumerate_110",
+    ("120", "dp"): "enumerate_120",
+    ("120", "dp-exp"): "enumerate_120",
+}
+# The set-state engines, which stop at a term cap unless allowed past it.
+_CAPPED = {"enumerate_000_exponential", "enumerate_110", "enumerate_120"}
+
+
 def enumerate_avoiders(pattern, n_terms, algorithm="dp",
                        allow_over_cap=False) -> CoefficientSeries:
-    """Dispatch: pattern in {'000','100','110','120'} to its best enumerator."""
-    key = "".join(str(v) for v in pattern) if not isinstance(pattern, str) else pattern
-    capped = {"000-exp": enumerate_000_exponential, "110": enumerate_110,
-              "120": enumerate_120}
-    if key not in ("000", "100", "110", "120"):
-        raise ValueError(f"no dynamic-programming enumerator for pattern {key!r}")
-    if algorithm == "dp-exp":
-        if key == "000":
-            return enumerate_000_exponential(n_terms, allow_over_cap=allow_over_cap)
-        if key in ("110", "120"):
-            return capped[key](n_terms, allow_over_cap=allow_over_cap)
-        raise ValueError(f"no exponential-state variant for pattern {key!r}")
-    if algorithm == "dp-poly":
-        if key != "000":
-            raise ValueError(f"no polynomial compacted variant for pattern {key!r}")
-        return enumerate_000_polynomial(n_terms)
-    if key == "000":
-        return enumerate_000_polynomial(n_terms)
-    if key == "100":
-        return enumerate_100(n_terms)
-    return capped[key](n_terms, allow_over_cap=allow_over_cap)
+    """Counts from the ENGINES entry for (pattern, algorithm); the pattern
+    may also be given as a sequence of letters."""
+    key = pattern if isinstance(pattern, str) else "".join(map(str, pattern))
+    name = ENGINES.get((key, algorithm))
+    if name is None:
+        raise ValueError(f"no {algorithm!r} enumerator for pattern {key!r}")
+    engine = globals()[name]
+    if name in _CAPPED:
+        return engine(n_terms, allow_over_cap=allow_over_cap)
+    return engine(n_terms)
 
 
 # ---------------------------------------------------------------------------
 # cache repetition analysis
 # ---------------------------------------------------------------------------
-
-def _proj_full(key):
-    return key
-
 
 def _proj_cardinality(key):
     return (key[0], key[1], key[2], key[3].bit_count())
@@ -528,6 +530,16 @@ class RepetitionReport:
         return {k: c for k, c in self.groups.items() if len(c) > 1}
 
 
+def _group(data, proj):
+    """Cached values listed by projected key, and the fraction of groups
+    holding a single distinct value."""
+    groups = {}
+    for key, value in data.items():
+        groups.setdefault(proj(key), []).append(value)
+    single = sum(1 for values in groups.values() if len(set(values)) == 1)
+    return groups, single / len(groups)
+
+
 def cache_repetition_report(cache: MemoCache, group_by="n,a,l,|S|",
                             candidates=None, threshold=0.99) -> RepetitionReport:
     """Group cached values by a key projection and measure how often a group
@@ -541,27 +553,10 @@ def cache_repetition_report(cache: MemoCache, group_by="n,a,l,|S|",
     else:
         proj_name = group_by
         proj = CANDIDATE_PROJECTIONS[group_by]
-    groups = {}
-    for key, value in cache.data.items():
-        groups.setdefault(proj(key), Counter())[value] += 1
-    single = sum(1 for c in groups.values() if len(c) == 1)
-    fraction = single / len(groups)
-
-    cand = dict(CANDIDATE_PROJECTIONS if candidates is None else candidates)
-    fractions = {}
-    for name, p in cand.items():
-        seen = {}
-        ok = True
-        multi = 0
-        for key, value in cache.data.items():
-            pk = p(key)
-            prev = seen.get(pk)
-            if prev is None:
-                seen[pk] = {value}
-            else:
-                prev.add(value)
-        multi = sum(1 for vs in seen.values() if len(vs) > 1)
-        fractions[name] = (len(seen) - multi) / len(seen)
+    groups, fraction = _group(cache.data, proj)
+    groups = {k: Counter(values) for k, values in groups.items()}
+    cand = CANDIDATE_PROJECTIONS if candidates is None else candidates
+    fractions = {name: _group(cache.data, p)[1] for name, p in cand.items()}
     return RepetitionReport(
         variant=cache.variant,
         projection_name=proj_name,

@@ -47,6 +47,8 @@ def is_weak_ascent_sequence(seq) -> bool:
 
 def parse_pattern(text) -> tuple:
     if isinstance(text, str):
+        if not text.isdigit():
+            raise ValueError(f"pattern {text!r} is not a string of digits")
         pattern = tuple(int(ch) for ch in text)
     else:
         pattern = tuple(int(v) for v in text)

@@ -102,8 +102,9 @@ def working_dps(*series, dps=None):
 
 
 def to_mpf(value, dps):
-    """Convert an int/Fraction/float/mpf to mpf at the given precision."""
+    """Convert an int/str/Fraction/float/mpf to mpf at the given precision; a
+    float goes through its shortest repr, so 0.1 means exactly 1/10."""
     with mpmath.workdps(dps):
         if isinstance(value, Fraction):
             return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
-        return mpmath.mpf(value)
+        return mpmath.mpf(repr(value) if isinstance(value, float) else value)

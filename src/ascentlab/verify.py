@@ -39,12 +39,16 @@ def run_checks(max_n=10, cache_terms=12) -> list:
     trace = [dp.suffix_count("120", n, 4, 0, {0, 1, 2, 4}) for n in range(6)]
     check("golden-120-state-trace", trace == [1, 6, 32, 160, 778, 3747], f"got {trace}")
 
-    for pat, enum in (("000", dp.enumerate_000_polynomial), ("100", dp.enumerate_100),
-                      ("110", dp.enumerate_110), ("120", dp.enumerate_120)):
-        got = enum(max_n).values
-        want = sq.brute_force_avoiders(pat, max_n).values
+    oracle = {}
+    for pat, algo in dp.ENGINES:
+        if pat == "none":
+            continue  # no pattern to avoid; golden-ascent-series covers it
+        if pat not in oracle:
+            oracle[pat] = sq.brute_force_avoiders(pat, max_n).values
+        got = dp.enumerate_avoiders(pat, max_n, algorithm=algo).values
+        want = oracle[pat]
         first_bad = next((i + 1 for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
-        check(f"oracle-equivalence-{pat}", got == want,
+        check(f"oracle-equivalence-{pat}-{algo}", got == want,
               "" if got == want else f"first mismatch at n={first_bad}")
 
     for pat, form in (("001", lambda k: 2 ** (k - 1)),
@@ -127,9 +131,8 @@ def compare_series_file(loaded, pattern, algorithm="dp"):
     """Recompute the exact prefix of a series file; return the first
     mismatching index or None."""
     n = loaded.n_exact
-    computed = (dp.enumerate_ascent(n) if pattern == "none"
-                else dp.enumerate_avoiders(pattern, n, algorithm=algorithm,
-                                           allow_over_cap=True))
+    computed = dp.enumerate_avoiders(pattern, n, algorithm=algorithm,
+                                     allow_over_cap=True)
     for k in range(1, n + 1):
         if computed.at(k) != loaded.exact.at(k):
             return k

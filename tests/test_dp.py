@@ -140,6 +140,31 @@ def test_caps(monkeypatch):
     assert s.values == sq.brute_force_avoiders("110", 8).values
 
 
+def test_pack_limits():
+    assert dp._unpack(dp._pack(0b101, -2, 253)) == (-2, 253, 0b101)
+    assert dp._unpack(dp._pack(1, 253, -2)) == (253, -2, 1)
+    for a, l in ((254, 0), (0, 254), (-3, 0), (0, -3)):
+        with pytest.raises(ValueError):
+            dp._pack(1, a, l)
+    # a caller-given state whose descendants would overflow a field
+    with pytest.raises(ValueError):
+        dp.suffix_count("110", 2, 253, 0, 1)
+    assert dp.suffix_count("110", 1, 253, 0, 1) == 255
+    # letter 0 repeats (254 continuations), letters 1..253 rise (255 each)
+    assert dp.suffix_count("110", 2, 252, 0, 1) == 254 + 253 * 255
+
+
+def test_sweep_rejects_unpackable_runs(monkeypatch):
+    def no_sweep(key):
+        raise AssertionError("sweep started")
+    monkeypatch.setitem(dp._RULES, "120", no_sweep)
+    with pytest.warns(UserWarning), pytest.raises(ValueError, match="key fields"):
+        dp.enumerate_120(300, allow_over_cap=True)
+    # the longest packable run does reach the sweep
+    with pytest.raises(AssertionError, match="sweep started"):
+        dp._forward_series("120", dp._FIELD_TOP)
+
+
 def test_dispatch():
     assert dp.enumerate_avoiders("000", 6, algorithm="dp-poly").values == \
         dp.enumerate_000_polynomial(6).values
@@ -150,6 +175,8 @@ def test_dispatch():
         dp.enumerate_avoiders("100", 6, algorithm="dp-exp")
     with pytest.raises(ValueError):
         dp.enumerate_avoiders("201", 6)
+    assert dp.enumerate_avoiders("none", 6).values == dp.enumerate_ascent(6).values
+    assert dp.enumerate_avoiders((1, 2, 0), 8).values == dp.enumerate_120(8).values
 
 
 def test_cache_repetition_report_000():

@@ -4,6 +4,7 @@ byte-level determinism."""
 import json
 import math
 import os
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -17,8 +18,22 @@ from ascentlab.series import CoefficientSeries
 mpmath.mp.dps = 60
 
 
+REF_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
+# Terms per engine in test_cli_every_engine_matches_reference; each reference
+# series is cross-checked against the oracles when it is written.
+ENGINE_TERMS = {("none", "dp"): 60, ("000", "dp"): 40, ("000", "dp-poly"): 40,
+                ("000", "dp-exp"): 18, ("100", "dp"): 40, ("110", "dp"): 16,
+                ("110", "dp-exp"): 16, ("120", "dp"): 22, ("120", "dp-exp"): 22}
+
+
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def _choices(command, option):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+    return list(next(a for a in sub._actions if option in a.option_strings).choices)
 
 
 def test_bfile_roundtrip(tmp_path):
@@ -90,6 +105,31 @@ def test_cli_enumerate_errors(tmp_path, capsys):
                    "--terms", "16", "--output", str(out))
     assert code == 1
     assert "error: cap-exceeded:" in capsys.readouterr().err
+    # no oracle counts plain ascent sequences: a usage error, no output
+    code = run_cli("enumerate", "--pattern", "none", "--algo", "brute",
+                   "--terms", "5", "--output", str(out))
+    assert code == 2
+    assert "error: usage:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_choices_come_from_engine_table():
+    assert set(ENGINE_TERMS) == set(dp.ENGINES)
+    patterns = [p for p, _ in dp.ENGINES]
+    assert _choices("enumerate", "--pattern") == list(dict.fromkeys(patterns))
+    assert _choices("verify", "--pattern") == list(dict.fromkeys(patterns))
+    algos = ["brute"] + [a for _, a in dp.ENGINES]
+    assert _choices("enumerate", "--algo") == list(dict.fromkeys(algos))
+
+
+def test_cli_every_engine_matches_reference(tmp_path):
+    for (pattern, algo), n in ENGINE_TERMS.items():
+        ref = "ascent" if pattern == "none" else pattern
+        want = b"".join((REF_DIR / f"{ref}.b").read_bytes().splitlines(keepends=True)[:n])
+        out = tmp_path / f"{pattern}-{algo}.bf"
+        assert run_cli("enumerate", "--pattern", pattern, "--algo", algo,
+                       "--terms", str(n), "--output", str(out)) == 0
+        assert out.read_bytes() == want, (pattern, algo)
 
 
 def test_cli_enumerate_determinism(tmp_path):
@@ -205,6 +245,11 @@ def test_cli_usage_validation(tmp_path, capsys):
                    "--output", "y", "--precision", "10") == 2
     assert run_cli("enumerate", "--pattern", "000", "--terms", "0",
                    "--output", str(tmp_path / "z.bf")) == 2
+    # patterns without an engine are rejected by argparse before any work
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--input", str(tmp_path / "z.bf"), "--pattern", "201")
+    assert exc.value.code == 2
+    assert "invalid choice: '201'" in capsys.readouterr().err
 
 
 def test_trace_csv_format(tmp_path):

@@ -79,9 +79,6 @@ class EstimatorTrace:
     skipped: list = field(default_factory=list)
     dps: int = DEFAULT_DPS
 
-    def gradient_tail(self, count=1):
-        return self.gradients[-count:]
-
 
 @dataclass
 class InterceptSummary:

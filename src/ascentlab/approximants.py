@@ -6,13 +6,16 @@ The ODE uses the operator t = z*d/dz:
 
     sum_{k=0}^{M} Q_k(z) * t^k F(z) = P(z)
 
-Fitting is exact rational elimination; root finding and prediction run at the
-working precision. Matching the first N coefficients (N = L + sum(N_k + 1))
-consumes N equations; one coefficient of Q_M is pinned to 1 to fix the scale.
+Fitting is fraction-free integer elimination (Bareiss), which yields the same
+exact rationals as elimination over fractions; root finding and prediction
+run at the working precision. Matching the first N coefficients
+(N = L + sum(N_k + 1)) consumes N equations; one coefficient of Q_M is pinned
+to 1 to fix the scale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -76,20 +79,21 @@ class DifferentialApproximant:
     def order(self):
         return len(self.qs) - 1
 
-    def q_poly(self, k):
-        return list(self.qs[k])
-
     def recurrence_row(self, m):
         """Multipliers (A(m), [(j, T_j(m))...]) of the z^m matching equation:
-        A(m)*c_m + sum_j T_j(m)*c_{m-j} = p_m where T_j(m) = sum_k q_kj (m-j)^k."""
-        a = sum(q[0] * m ** k for k, q in enumerate(self.qs) if len(q) > 0)
-        others = []
-        maxdeg = max(len(q) for q in self.qs) - 1
-        for j in range(1, maxdeg + 1):
-            t = sum(q[j] * (m - j) ** k
-                    for k, q in enumerate(self.qs) if j < len(q))
-            others.append((j, t))
-        return a, others
+        A(m)*c_m + sum_j T_j(m)*c_{m-j} = p_m where T_j(m) = sum_k q_kj (m-j)^k.
+
+        Each multiplier is one reduced Fraction over the common denominator
+        of qs, taken afresh on every call so that edited qs are honoured."""
+        den = math.lcm(*(v.denominator for q in self.qs for v in q))
+        nums = [[v.numerator * (den // v.denominator) for v in q] for q in self.qs]
+
+        def multiplier(j):
+            return Fraction(sum(q[j] * (m - j) ** k
+                                for k, q in enumerate(nums) if j < len(q)), den)
+
+        maxdeg = max(len(q) for q in nums) - 1
+        return multiplier(0), [(j, multiplier(j)) for j in range(1, maxdeg + 1)]
 
 
 def _full_coefficients(c: CoefficientSeries, constant_term):
@@ -99,12 +103,21 @@ def _full_coefficients(c: CoefficientSeries, constant_term):
 
 
 def _solve_rational(rows, rhs):
-    """Gaussian elimination over Fractions. Returns (solution, deficiency);
-    free variables are set to zero. Raises on inconsistency."""
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer system.
+
+    Returns (solution, deficiency); free variables are set to zero. Raises on
+    inconsistency. Every entry stays an integer minor of the input, so each
+    division by the previous pivot is exact; at the end every pivot row has
+    the last pivot on its diagonal and each solved unknown is one reduced
+    Fraction(rhs, last pivot). Zero tests on minors agree with those on the
+    entries of elimination over fractions, so the first nonzero entry of a
+    column picks the same pivots.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
+    m = [list(r) + [v] for r, v in zip(rows, rhs)]
     pivots = []
+    prev = 1
     pr = 0
     for pc in range(ncols):
         pivot = None
@@ -115,16 +128,21 @@ def _solve_rational(rows, rhs):
         if pivot is None:
             continue
         m[pr], m[pivot] = m[pivot], m[pr]
-        pv = m[pr][pc]
         row = m[pr]
-        for c in range(pc, ncols + 1):
-            row[c] /= pv
+        pv = row[pc]
+        tail = row[pc:]
+        # columns left of pc are never read again, so they are not rescaled
         for r in range(nrows):
-            if r != pr and m[r][pc] != 0:
-                f = m[r][pc]
-                other = m[r]
-                for c in range(pc, ncols + 1):
-                    other[c] -= f * row[c]
+            if r == pr:
+                continue
+            other = m[r]
+            f = other[pc]
+            if f != 0:
+                other[pc:] = [(pv * x - f * y) // prev
+                              for x, y in zip(other[pc:], tail)]
+            elif pv != prev:
+                other[pc:] = [pv * x // prev for x in other[pc:]]
+        prev = pv
         pivots.append(pc)
         pr += 1
         if pr == nrows:
@@ -135,12 +153,12 @@ def _solve_rational(rows, rhs):
                                      deficiency=ncols - len(pivots))
     sol = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
-        sol[pc] = m[r][ncols]
+        sol[pc] = Fraction(m[r][ncols], prev)
     return sol, ncols - len(pivots)
 
 
 def fit_da(c: CoefficientSeries, cfg: DAConfig, constant_term=1) -> DifferentialApproximant:
-    """Fit the ODE by exact rational elimination.
+    """Fit the ODE by exact fraction-free integer elimination.
 
     The constant coefficient of Q_M is pinned to 1; if that makes the system
     inconsistent the highest-degree coefficient of Q_M is pinned instead.
@@ -168,18 +186,18 @@ def fit_da(c: CoefficientSeries, cfg: DAConfig, constant_term=1) -> Differential
     def build(pin_index):
         rows, rhs = [], []
         for m in range(n_eq):
-            row = [Fraction(0)] * n_unknown
-            b = Fraction(0)
+            row = [0] * n_unknown
+            b = 0
             for k in range(M + 1):
                 for j in range(min(cfg.degrees[k], m) + 1):
-                    val = Fraction((m - j) ** k * coeffs[m - j])
+                    val = (m - j) ** k * coeffs[m - j]
                     col = offsets[k] + j
                     if col == pin_index:
                         b -= val
                     else:
                         row[col] = val
             if 0 <= m <= L:
-                row[p_off + m] = Fraction(-1)
+                row[p_off + m] = -1
             rows.append(row)
             rhs.append(b)
         # drop the pinned column

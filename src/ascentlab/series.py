@@ -50,16 +50,6 @@ class CoefficientSeries:
             raise IndexError(f"cannot truncate below first index {self.first_index}")
         return CoefficientSeries(self.values[: n - self.first_index + 1], self.first_index)
 
-    def check_count_invariants(self):
-        """Invariants for pattern-avoider counting series."""
-        if self.first_index != 1:
-            raise ValueError("counting series start at length 1")
-        if any(v < 1 for v in self.values):
-            raise ValueError("counting series values must be >= 1")
-        if self.values and self.values[0] != 1:
-            raise ValueError("count at length 1 must be 1")
-        return self
-
 
 @dataclass
 class RealSeries:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 from ascentlab import approximants as ap
@@ -77,6 +78,88 @@ def test_random_noise_fit_is_handled():
         return  # flagged, no crash
     assert all(v == 0 for v in ap.fit_defects(da, noise))
     ap.singularities(da)  # roots may be spurious; extraction must not crash
+
+
+def _fraction_gauss_jordan(rows, rhs):
+    """Reference solve: Gauss-Jordan over Fractions, pivoting on the first
+    nonzero entry of each column, free unknowns zero."""
+    nrows, ncols = len(rows), len(rows[0])
+    m = [[Fraction(v) for v in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
+    pivots = []
+    for pc in range(ncols):
+        pr = len(pivots)
+        pivot = next((r for r in range(pr, nrows) if m[r][pc] != 0), None)
+        if pivot is None:
+            continue
+        m[pr], m[pivot] = m[pivot], m[pr]
+        m[pr] = [v / m[pr][pc] for v in m[pr]]
+        for r in range(nrows):
+            if r != pr:
+                f = m[r][pc]
+                m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
+        pivots.append(pc)
+    deficiency = ncols - len(pivots)
+    if any(m[r][ncols] != 0 for r in range(len(pivots), nrows)):
+        raise RankDeficientError("inconsistent", deficiency=deficiency)
+    sol = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        sol[pc] = m[r][ncols]
+    return sol, deficiency
+
+
+def _outcome(solve, rows, rhs):
+    try:
+        return solve(rows, rhs)
+    except RankDeficientError as exc:
+        return "inconsistent", exc.deficiency
+
+
+@st.composite
+def integer_systems(draw):
+    """A = B*C of rank <= r with a few entries overwritten, b = A*x, and b
+    sometimes perturbed so that the system may be inconsistent."""
+    small = st.integers(-4, 4)
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    b_ = draw(st.lists(st.lists(small, min_size=rank, max_size=rank),
+                       min_size=nrows, max_size=nrows))
+    c_ = draw(st.lists(st.lists(small, min_size=ncols, max_size=ncols),
+                       min_size=rank, max_size=rank))
+    rows = [[sum(b_[i][k] * c_[k][j] for k in range(rank)) for j in range(ncols)]
+            for i in range(nrows)]
+    for i, j, v in draw(st.lists(st.tuples(st.integers(0, nrows - 1),
+                                           st.integers(0, ncols - 1),
+                                           st.integers(-9, 9)), max_size=2)):
+        rows[i][j] = v
+    x = draw(st.lists(st.integers(-5, 5), min_size=ncols, max_size=ncols))
+    rhs = [sum(a * v for a, v in zip(r, x)) for r in rows]
+    for i, d in draw(st.lists(st.tuples(st.integers(0, nrows - 1),
+                                        st.integers(-3, 3)), max_size=1)):
+        rhs[i] += d
+    return rows, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_systems())
+def test_integer_solve_matches_fraction_reference(system):
+    rows, rhs = system
+    got = _outcome(ap._solve_rational, rows, rhs)
+    assert got == _outcome(_fraction_gauss_jordan, rows, rhs)
+    if got[0] != "inconsistent":
+        assert all(isinstance(v, Fraction) for v in got[0])
+
+
+def test_fit_falls_back_to_leading_pin():
+    # sum n! z^n forces Q_1(0) = 0: pinning it to 1 is inconsistent, so the
+    # leading coefficient of Q_1 is pinned and the fit is c_m = m c_{m-1}
+    fact = CoefficientSeries([math.factorial(n) for n in range(1, 13)])
+    da = ap.fit_da(fact, ap.DAConfig(order=1, degrees=(1, 1), inhomog_degree=0))
+    assert da.pinned == "q_M_leading" and da.deficiency == 0
+    assert da.qs == [[Fraction(-1), Fraction(1)], [Fraction(0), Fraction(1)]]
+    assert da.p == [Fraction(-1)]
+    assert all(v == 0 for v in ap.fit_defects(da, fact))
+    assert ap.recurrence_extend_exact(da, fact, 4) == [math.factorial(n)
+                                                       for n in range(13, 17)]
 
 
 def test_manufactured_exponent_formula():

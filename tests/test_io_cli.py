@@ -19,6 +19,8 @@ mpmath.mp.dps = 60
 
 
 REF_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
+# `extend --predict 20` outputs on reference prefixes, pinned byte for byte.
+GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 # Terms per engine in test_cli_every_engine_matches_reference; each reference
 # series is cross-checked against the oracles when it is written.
 ENGINE_TERMS = {("none", "dp"): 60, ("000", "dp"): 40, ("000", "dp-poly"): 40,
@@ -130,6 +132,20 @@ def test_cli_every_engine_matches_reference(tmp_path):
         assert run_cli("enumerate", "--pattern", pattern, "--algo", algo,
                        "--terms", str(n), "--output", str(out)) == 0
         assert out.read_bytes() == want, (pattern, algo)
+
+
+@pytest.mark.parametrize("pattern,n", [("120", 30), ("000", 60)])
+def test_cli_extend_matches_golden(tmp_path, pattern, n):
+    src = tmp_path / f"{pattern}.b"
+    src.write_bytes(b"".join((REF_DIR / f"{pattern}.b").read_bytes()
+                             .splitlines(keepends=True)[:n]))
+    out = tmp_path / "ext.b"
+    assert run_cli("extend", "--input", str(src), "--output", str(out),
+                   "--predict", "20") == 0
+    golden = GOLDEN_DIR / f"extend_{pattern}_n{n}.b"
+    assert out.read_bytes() == golden.read_bytes()
+    assert (Path(f"{out}.diag.json").read_bytes()
+            == Path(f"{golden}.diag.json").read_bytes())
 
 
 def test_cli_enumerate_determinism(tmp_path):

@@ -11,8 +11,7 @@ from .dp import (enumerate_ascent, enumerate_000_exponential,
                  enumerate_000_polynomial, enumerate_100, enumerate_110,
                  enumerate_120, enumerate_avoiders, enumerate_with_cache,
                  suffix_count, MemoCache, cache_repetition_report,
-                 ascent_indicator, renumber_remove, renumber_floor,
-                 largest_below, bitset)
+                 bitset)
 from .analysis import (StretchedFitParams, FactorialFitParams, ratios,
                        egf_ratios, linear_intercepts, quadratic_intercepts,
                        intercept_pipeline, sigma_estimator_ratio,

@@ -85,15 +85,24 @@ class DifferentialApproximant:
 
         Each multiplier is one reduced Fraction over the common denominator
         of qs, taken afresh on every call so that edited qs are honoured."""
-        den = math.lcm(*(v.denominator for q in self.qs for v in q))
-        nums = [[v.numerator * (den // v.denominator) for v in q] for q in self.qs]
+        return _recurrence_row(*_integer_qs(self.qs), m)
 
-        def multiplier(j):
-            return Fraction(sum(q[j] * (m - j) ** k
-                                for k, q in enumerate(nums) if j < len(q)), den)
 
-        maxdeg = max(len(q) for q in nums) - 1
-        return multiplier(0), [(j, multiplier(j)) for j in range(1, maxdeg + 1)]
+def _integer_qs(qs):
+    """(den, nums): the common denominator of qs and the integer numerators
+    of every coefficient over it."""
+    den = math.lcm(*(v.denominator for q in qs for v in q))
+    return den, [[v.numerator * (den // v.denominator) for v in q] for q in qs]
+
+
+def _recurrence_row(den, nums, m):
+    """`DifferentialApproximant.recurrence_row` from `_integer_qs` output."""
+    def multiplier(j):
+        return Fraction(sum(q[j] * (m - j) ** k
+                            for k, q in enumerate(nums) if j < len(q)), den)
+
+    maxdeg = max(len(q) for q in nums) - 1
+    return multiplier(0), [(j, multiplier(j)) for j in range(1, maxdeg + 1)]
 
 
 def _full_coefficients(c: CoefficientSeries, constant_term):
@@ -247,12 +256,13 @@ def fit_defects(da: DifferentialApproximant, c: CoefficientSeries) -> list:
 def _extend_values(da, coeffs, count, exact, dps):
     """Continue the sequence `coeffs` by `count` values using the recurrence."""
     L = da.config.inhomog_degree
+    den, nums = _integer_qs(da.qs)
     known = list(coeffs)
     out = []
     start = len(known)
     with mpmath.workdps(dps):
         for m in range(start, start + count):
-            a, others = da.recurrence_row(m)
+            a, others = _recurrence_row(den, nums, m)
             if a == 0:
                 raise VanishingMultiplierError(
                     f"recurrence multiplier vanishes at index {m}", m, out)

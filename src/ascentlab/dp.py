@@ -4,8 +4,11 @@ pattern-avoiding families 000, 100, 110, 120, all with exact big integers.
 Two engine styles:
 
 * Layered sweeps (ascent, 100, polynomial 000): per-length layers of state
-  arrays with running prefix sums, memory bounded to two layers. Used where
-  hundreds of terms are wanted.
+  slices, memory bounded to two layers plus their prefix sums. A step
+  builds each new slice a from the prefix sums of old slices a-1, a and a+1
+  in a few whole-slice operations (list comprehensions for ascent, numpy
+  object-array gathers for 100 and 000), so no Python loop runs over a
+  slice's entries or columns. Used where hundreds of terms are wanted.
 * Set-state engines (exponential 000, 110, 120): states carry a bit-set of
   letter values. Each pattern has one transition rule over packed state keys
   (see `_pack`). A forward sweep of the rule produces the series; a memoized
@@ -24,6 +27,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -33,31 +37,6 @@ from .series import CoefficientSeries
 CAP_000_EXPONENTIAL = 30
 CAP_110 = 36
 CAP_120 = 60
-
-
-def ascent_indicator(l: int, i: int) -> int:
-    """1 if the next letter i rises above the previous letter l."""
-    return 1 if l < i else 0
-
-
-def renumber_remove(S: int, i: int) -> int:
-    """Close the gap at value i: every set bit above i shifts down by one.
-
-    Callers remove i from S first; bit i must be clear.
-    """
-    low = S & ((1 << i) - 1)
-    return ((S >> (i + 1)) << i) | low
-
-
-def renumber_floor(S: int, i: int) -> int:
-    """Drop every value below i and subtract i from the rest."""
-    return S >> i
-
-
-def largest_below(S: int, i: int) -> int:
-    """Largest element of S smaller than i, or 0 if there is none."""
-    below = S & ((1 << i) - 1)
-    return below.bit_length() - 1 if below else 0
 
 
 def bitset(values) -> int:
@@ -75,8 +54,9 @@ def enumerate_ascent(n_terms: int) -> CoefficientSeries:
     """Counts of ascent sequences of lengths 1..n_terms.
 
     f(n, a, l) = sum_{i=0}^{a+1} f(n-1, a + [l<i], i), f(0,.,.) = 1;
-    the count at length n is f(n-1, 0, 0). Layered with per-slice prefix
-    sums, so a layer costs O(states) additions.
+    the count at length n is f(n-1, 0, 0). With c and u the prefix sums of
+    rows a and a+1 of the previous layer, f(n, a, l) = c[l] + u[a+1] - u[l],
+    so a step is one `accumulate` per row and one `zip` per new row.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -85,29 +65,26 @@ def enumerate_ascent(n_terms: int) -> CoefficientSeries:
     terms = [1]
     for step in range(1, n_terms):
         d = n_terms - 1 - step
-        # cs[a][r] = sum_{l'=0..r} layer[a][l']
-        cs = []
-        for a in range(min(d + 2, len(layer))):
-            run = 0
-            acc = []
-            for v in layer[a]:
-                run += v
-                acc.append(run)
-            cs.append(acc)
-        new_layer = []
+        cs = [list(accumulate(row)) for row in layer[:d + 2]]
+        layer = []
         for a in range(d + 1):
-            cs_a = cs[a]
-            cs_up = cs[a + 1] if a + 1 < len(cs) else None
-            row = []
-            for l in range(a + 2):
-                v = cs_a[min(l, a + 1)]
-                if cs_up is not None and l + 1 <= a + 1:
-                    v += cs_up[a + 1] - cs_up[l]
-                row.append(v)
-            new_layer.append(row)
-        layer = new_layer
+            up = cs[a + 1]
+            top = up[a + 1]
+            # zip ends at l = a+1, the last l of row a, where top - u is 0
+            layer.append([c + (top - u) for c, u in zip(cs[a], up)])
         terms.append(layer[0][0])
     return CoefficientSeries(terms, first_index=1)
+
+
+def _padded_cumsum(g):
+    """Row prefix sums of g under a zero row: out[r] = g[0] + ... + g[r-1].
+
+    Row 0 is zero, so a gather at column index -1 from row 0 (the m - 1 or
+    K - 1 of column 0 below, which wraps to the last column) reads 0.
+    """
+    out = np.zeros((g.shape[0] + 1, g.shape[1]), dtype=object)
+    np.cumsum(g, axis=0, out=out[1:])
+    return out
 
 
 def enumerate_100(n_terms: int) -> CoefficientSeries:
@@ -115,73 +92,52 @@ def enumerate_100(n_terms: int) -> CoefficientSeries:
 
     State (a, l, m) where m is the largest value seen. Letter i < m erases a
     value: child (a+[l<i]-1, i-1, m-1); letter i >= m: child (a+[l<i], i, i).
-    Grouping the i-sum by child slice leaves four contiguous ranges handled
-    with cumulative sums:
+    Grouping the i-sum by child slice leaves four contiguous ranges:
 
     f(n,a,l,m) = sum_{i=0}^{min(l,m-1)} f(n-1, a-1, i-1, m-1)
                + sum_{i=l+1}^{m-1}      f(n-1, a,   i-1, m-1)
                + sum_{i=max(m,l+1)}^{a+1} f(n-1, a+1, i, i)
                + [l=m] f(n-1, a, m, m)
+
+    Slice a is an array [l+1, m]. With P and Q the zero-padded prefix sums
+    (`_padded_cumsum`) of slices a-1 and a, and t[i] the sum of
+    f(n-1, a+1, j, j) over j = i..a+1, an entry with l < m is
+    P[l+1, m-1] - Q[l+1, m-1] + Q[m, m-1] + t[m], and one with l = m is
+    P[m, m-1] + t[m+1] + f(n-1, a, m, m). A new slice is therefore one
+    gather over the entries l < m plus one O(a) fix of the diagonal l = m.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    # slice a: array[l+1, m] for -1 <= l <= m <= a+1 (upper triangle used)
-    layer = []
-    for a in range(n_terms):
-        g = np.zeros((a + 3, a + 2), dtype=object)
-        for m in range(a + 2):
-            g[0:m + 2, m] = 1
-        layer.append(g)
+    # slice a: array[l+1, m] for -1 <= l <= m <= a+1; entries with l > m are 0
+    layer = [np.triu(np.ones((a + 3, a + 2), dtype=object), -1)
+             for a in range(n_terms)]
+    # (m, l+1) for l < m, column by column, so that each slice's entries
+    # are a prefix
+    cols, rows = np.tril_indices(n_terms)
     terms = [1]
     for step in range(1, n_terms):
         d = n_terms - 1 - step
-        cps = [np.cumsum(layer[a], axis=0) if a < len(layer) else None
-               for a in range(d + 2)]
-        sss = []
-        for a in range(d + 2):
-            if a < len(layer):
-                diag = layer[a].diagonal(offset=-1)  # f(., a, i, i), i = 0..a+1
-                ss = np.zeros(len(diag) + 1, dtype=object)
-                ss[:-1] = np.cumsum(diag[::-1])[::-1]
-                sss.append(ss)
-            else:
-                sss.append(None)
+        # pre[a+1] belongs to slice a; slice a = -1 holds no states
+        pre = ([np.zeros((3, 1), dtype=object)]
+               + [_padded_cumsum(g) for g in layer[:d + 1]])
         new_layer = []
         for a in range(d + 1):
-            cols = a + 2
-            g = np.zeros((a + 3, cols), dtype=object)
-            cp_am1 = cps[a - 1] if a >= 1 else None
-            cp_a = cps[a]
-            ss_up = sss[a + 1]
-            if cp_am1 is not None:
-                for m in range(1, cols):
-                    lo = min(m, cp_am1.shape[0])
-                    if m - 1 < cp_am1.shape[1]:
-                        g[1:lo + 1, m] += cp_am1[0:lo, m - 1]
-                        g[m + 1, m] += cp_am1[m - 1, m - 1]
-            if cp_a is not None:
-                for m in range(1, cols):
-                    top = cp_a[m - 1, m - 1]
-                    g[0, m] += top
-                    g[1:m + 1, m] += top - cp_a[0:m, m - 1]
-            if ss_up is not None:
-                tail = ss_up[a + 2] if a + 2 < len(ss_up) else 0
-                for m in range(cols):
-                    g[0:m + 1, m] += ss_up[m] - tail
-                    g[m + 1, m] += (ss_up[m + 1] if m + 1 < len(ss_up) else 0) - tail
-            prev = layer[a] if a < len(layer) else None
-            if prev is not None:
-                for m in range(cols):
-                    g[m + 1, m] += prev[m + 1, m]
+            w = a + 2
+            P, Q = pre[a], pre[a + 1]
+            diag = layer[a + 1].diagonal(-1)    # f(n-1, a+1, i, i), i = 0..a+2
+            t = np.zeros(w + 1, dtype=object)   # suffix sums of diag[:w]; t[w] = 0
+            np.cumsum(diag[w - 1::-1], out=t[w - 1::-1])
+            i = np.arange(w)
+            c = Q[i, i - 1] + t[:w]
+            k = w * (w + 1) // 2
+            r, m = rows[:k], cols[:k]
+            g = np.zeros((w + 1, w), dtype=object)
+            g[r, m] = P[r, m - 1] - Q[r, m - 1] + c[m]
+            g[i + 1, i] = P[i, i - 1] + t[1:] + layer[a].diagonal(-1)
             new_layer.append(g)
         layer = new_layer
         terms.append(int(layer[0][1, 0]))
     return CoefficientSeries(terms, first_index=1)
-
-
-def _poly_slice_shape(a):
-    n = max(a + 3, 1)
-    return (n, n)
 
 
 def enumerate_000_polynomial(n_terms: int) -> CoefficientSeries:
@@ -196,50 +152,42 @@ def enumerate_000_polynomial(n_terms: int) -> CoefficientSeries:
                + sum_{i=l+1}^{K-1}      f(n-1, a,   i-1, K-1)
                + sum_{i=K}^{min(l,a+1)} f(n-1, a,   i,   K+1)
                + sum_{i=max(K,l+1)}^{a+1} f(n-1, a+1, i, K+1)
+
+    Slice a is an (a+3) x (a+3) array [l+1, K]. With P, Q and U the
+    zero-padded prefix sums (`_padded_cumsum`) of slices a-1, a and a+1, an
+    entry with l < K reads
+        P[l+1, K-1] - Q[l+1, K-1] + (Q[K, K-1] + U[a+3, K+1] - U[K+1, K+1])
+    and one with l >= K reads
+        Q[l+2, K+1] - U[l+2, K+1] + (P[K, K-1] + U[a+3, K+1] - Q[K+1, K+1]),
+    each a gather plus a per-column constant, so a new slice takes two
+    gathers over its two triangles.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    layer = {a: np.ones(_poly_slice_shape(a), dtype=object)
-             for a in range(-2, n_terms)}
+    layer = {a: np.ones((a + 3, a + 3), dtype=object) for a in range(-2, n_terms)}
+    # (K, l+1) for l < K, column by column, and (l+1, K) for l >= K, row by
+    # row, so that each slice's entries are a prefix
+    up_k, up_r = np.tril_indices(n_terms + 1)
+    lo_r, lo_k = np.tril_indices(n_terms + 1, -1)
     terms = [1]
     for step in range(1, n_terms):
         d = n_terms - 1 - step
-        cps = {a: np.cumsum(layer[a], axis=0)
-               for a in range(-1, d + 2) if a in layer}
+        pre = {a: _padded_cumsum(layer[a]) for a in range(-2, d + 2)}
         new_layer = {-2: np.zeros((1, 1), dtype=object)}
-        g1 = np.zeros((2, 2), dtype=object)
-        g1[0, 0] = layer[0][1, 1]    # (-1,-1,K=0): letter 0 is new, chi=1
-        g1[0, 1] = layer[-1][0, 0]   # (-1,-1,K=1): letter 0 repeats, chi=1
-        g1[1, 0] = layer[-1][1, 1]   # (-1, 0,K=0): letter 0 is new, chi=0
-        g1[1, 1] = layer[-2][0, 0]   # (-1, 0,K=1): letter 0 repeats, chi=0
-        new_layer[-1] = g1
-        for a in range(0, d + 1):
-            rows = cols = a + 3
-            g = np.zeros((rows, cols), dtype=object)
-            cp_am1 = cps[a - 1]
-            cp_a = cps[a]
-            cp_ap1 = cps.get(a + 1)
-            for K in range(cols):
-                if K >= 1:
-                    c = K - 1
-                    if c < cp_am1.shape[1]:
-                        kk = min(K - 1, cp_am1.shape[0] - 1)
-                        head = min(kk + 1, rows - 1)
-                        g[1:head + 1, K] += cp_am1[0:head, c]
-                        if head + 1 < rows:
-                            g[head + 1:, K] += cp_am1[kk, c]
-                    top = cp_a[K - 1, c]
-                    g[0, K] += top
-                    if K >= 2:
-                        g[1:K, K] += top - cp_a[0:K - 1, c]
-                if K + 1 < cols:
-                    g[K + 1:rows, K] += cp_a[K + 1:rows, K + 1] - cp_a[K, K + 1]
-                    if cp_ap1 is not None:
-                        tt = cp_ap1[a + 2, K + 1]
-                        g[0:K + 1, K] += tt - cp_ap1[K, K + 1]
-                        hi = min(a + 2, rows)
-                        if K + 1 < hi:
-                            g[K + 1:hi, K] += tt - cp_ap1[K + 1:hi, K + 1]
+        for a in range(-1, d + 1):
+            w = a + 3
+            P, Q, U = pre[a - 1], pre[a], pre[a + 1]
+            i = np.arange(w)
+            top = U[w, 1:]                      # U[a+3, K+1], K = 0..a+2
+            c_up = Q[i, i - 1] + top - U[i + 1, i + 1]
+            c_lo = P[i[:-1], i[:-1] - 1] + top[:-1] - Q[i[1:], i[1:]]
+            g = np.empty((w, w), dtype=object)
+            k = w * (w + 1) // 2
+            r, K = up_r[:k], up_k[:k]
+            g[r, K] = P[r, K - 1] - Q[r, K - 1] + c_up[K]
+            k = w * (w - 1) // 2
+            r, K = lo_r[:k], lo_k[:k]
+            g[r, K] = Q[r + 1, K + 1] - U[r + 1, K + 1] + c_lo[K]
             new_layer[a] = g
         layer = new_layer
         terms.append(int(layer[0][1, 1]))

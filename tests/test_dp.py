@@ -1,7 +1,10 @@
 """Dynamic-programming enumerators: golden values, oracle equivalence,
 engine cross-checks, cache analysis."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ascentlab import dp, sequences as sq
 from ascentlab.errors import CapExceededError
@@ -9,28 +12,51 @@ from ascentlab.errors import CapExceededError
 import safeguards as sg
 
 
+def _children(rule, S, a, l):
+    """(a, l, S) of each child of state (a, l, S), indexed by the next letter."""
+    return [dp._unpack(k) for k in rule(dp._pack(S, a, l))]
+
+
 def test_ascent_indicator():
-    assert dp.ascent_indicator(0, 1) == 1
-    assert dp.ascent_indicator(1, 1) == 0
-    assert dp.ascent_indicator(-1, 0) == 1  # erased letters sit below everything
+    # a letter above the previous one adds an ascent; with S = {0} the 120
+    # rule erases nothing, so a child's a is a + [l < i]
+    assert _children(dp._rule_120, 1, 0, 0)[1][0] == 1   # l = 0, i = 1: rises
+    assert _children(dp._rule_120, 1, 1, 1)[1][0] == 1   # l = 1, i = 1: stays
+    # erased letters sit below everything: 0 0 under 000 leaves l = -1, and
+    # the next letter 0 rises above it
+    assert _children(dp._rule_000, 1, 0, 0)[0] == (-1, -1, 0)
+    assert _children(dp._rule_000, 0, -1, -1)[0] == (0, 0, 1)
 
 
 def test_renumber_remove():
-    assert dp.renumber_remove(dp.bitset({0, 2}), 1) == dp.bitset({0, 1})
-    assert dp.renumber_remove(0, 5) == 0
-    assert dp.renumber_remove(dp.bitset({0, 1, 3}), 2) == dp.bitset({0, 1, 2})
+    # 000: a repeated letter i is erased and the values above it close the
+    # gap; the child is (a + [l<i] - 1, i - 1, S without i, renumbered)
+    assert (_children(dp._rule_000, dp.bitset({0, 1, 2}), 1, 0)[1]
+            == (1, 0, dp.bitset({0, 1})))
+    assert _children(dp._rule_000, dp.bitset({5}), 4, 0)[5] == (4, 4, 0)
+    assert (_children(dp._rule_000, dp.bitset({0, 1, 2, 3}), 2, 0)[2]
+            == (2, 1, dp.bitset({0, 1, 2})))
 
 
 def test_renumber_floor():
-    assert dp.renumber_floor(dp.bitset({0, 1, 3}), 2) == dp.bitset({1})
-    assert dp.renumber_floor(dp.bitset({0, 1, 3}), 0) == dp.bitset({0, 1, 3})
-    assert dp.renumber_floor(dp.bitset({0}), 1) == 0
+    # 110: a repeated letter i kills every value below it and becomes 0; the
+    # child is (a + [l<i] - i, 0, S >> i)
+    assert (_children(dp._rule_110, dp.bitset({0, 1, 2, 3}), 2, 0)[2]
+            == (1, 0, dp.bitset({0, 1})))
+    assert (_children(dp._rule_110, dp.bitset({0, 1, 3}), 2, 0)[0]
+            == (2, 0, dp.bitset({0, 1, 3})))
+    assert _children(dp._rule_110, dp.bitset({0, 1}), 0, 0)[1] == (0, 0, 1)
 
 
 def test_largest_below():
-    assert dp.largest_below(dp.bitset({0, 2, 5}), 4) == 2
-    assert dp.largest_below(0, 3) == 0
-    assert dp.largest_below(dp.bitset({0, 1}), 0) == 0
+    # 120: every value below s, the largest value of S under the letter i
+    # (0 if none), dies, so the child's last letter is i - s
+    S = dp.bitset({0, 2, 5})
+    kids = _children(dp._rule_120, S, 5, 0)
+    assert [i - l for i, (_, l, _) in enumerate(kids)] == [0, 0, 0, 2, 2, 2, 5]
+    assert kids[4] == (4, 2, dp.bitset({0, 2, 3}))
+    assert kids[0] == (5, 0, S)
+    assert _children(dp._rule_120, 1, 2, 0)[3] == (3, 3, dp.bitset({0, 3}))
 
 
 def test_ascent_series_golden():
@@ -68,6 +94,22 @@ def test_ascent_series_matches_product_generating_function():
             total[d] += v
     s = dp.enumerate_ascent(N)
     assert total[1:N + 1] == s.values
+
+
+LAYERED = (dp.enumerate_ascent, dp.enumerate_000_polynomial, dp.enumerate_100)
+PREFIX_N = 40
+
+
+@functools.cache
+def _full_run(engine):
+    return engine(PREFIX_N).values
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LAYERED), st.integers(1, PREFIX_N))
+def test_layered_prefix_consistency(engine, n):
+    # slice bounds depend on n_terms, so a short run exercises other edges
+    assert engine(n).values == _full_run(engine)[:n]
 
 
 def test_oracle_equivalence_small():

@@ -10,10 +10,14 @@ Two engine styles:
   object-array gathers for 100 and 000), so no Python loop runs over a
   slice's entries or columns. Used where hundreds of terms are wanted.
 * Set-state engines (exponential 000, 110, 120): states carry a bit-set of
-  letter values. Each pattern has one transition rule over packed state keys
-  (see `_pack`). A forward sweep of the rule produces the series; a memoized
-  recursion through the same rule, keyed by (n, a, l, S), produces an
-  introspectable value cache for repetition analysis.
+  letter values. Each pattern has one branch-free transition rule from a
+  packed state key (see `_pack`) and a next letter to the child's key; it
+  takes a Python int or a uint64 array alike. The forward sweep applies it
+  to a whole layer of uint64 keys per letter and sums equal children by
+  sort and `reduceat`, with exact Python-int weights. A memoized recursion
+  through the same rule, one letter at a time and keyed by (n, a, l, S)
+  with S unbounded, produces an introspectable value cache for repetition
+  analysis.
 
 `ENGINES` maps each (pattern, algorithm) pair to its engine; the CLI, the
 dispatcher and the cross-checks all read it.
@@ -200,6 +204,8 @@ def enumerate_000_polynomial(n_terms: int) -> CoefficientSeries:
 
 # Largest a or l a key can hold: a+2 and l+2 each take one byte.
 _FIELD_TOP = 0xFF - 2
+# Bits of S a uint64 sweep key can hold above the two byte fields.
+_S_BITS = 48
 
 
 def _pack(S, a, l):
@@ -207,7 +213,8 @@ def _pack(S, a, l):
 
     The rules below read and write this layout directly; a and l range over
     -2.._FIELD_TOP, and a value outside that range raises instead of
-    spilling into the neighbouring field.
+    spilling into the neighbouring field. S is unbounded in a Python-int
+    key and takes _S_BITS bits in a uint64 sweep key.
     """
     if not (-2 <= a <= _FIELD_TOP and -2 <= l <= _FIELD_TOP):
         raise ValueError(f"state a={a}, l={l} does not fit the key fields "
@@ -220,55 +227,46 @@ def _unpack(key):
     return (key >> 8 & 0xFF) - 2, (key & 0xFF) - 2, key >> 16
 
 
-# A rule maps a state's key to the keys of its children, one per next letter
-# i = 0..a+1; a letter above l adds an ascent (256 in the a field).
+# A rule maps a state's key and a next letter i (0 <= i <= a+1) to the child's
+# key; s is the largest value of S below i, or 0 (see `_next_s`). Rules are
+# branch-free and every intermediate stays non-negative, so one rule serves a
+# Python-int key and a uint64 key array alike. up = [l < i] adds an ascent
+# (256 in the a field): l+2 <= i+1 exactly when i + 257 - (l+2) >= 256.
 
-def _rule_000(key):
-    """Children of a 000 state. A letter i in S is now proscribed: erase it,
+def _rule_000(key, i, s):
+    """Child of a 000 state. A letter i in S is now proscribed: erase it,
     closing the gap in S, and a, l shift down."""
-    l = (key & 0xFF) - 2
-    base = key & 0xFF00
     S = key >> 16
-    out = []
-    for i in range(base >> 8):
-        if S >> i & 1:
-            out.append((((((S >> (i + 1)) << i) | (S & ((1 << i) - 1))) << 16)
-                        | (base + (256 if l < i else 0) - 256) | (i + 1)))
-        else:
-            out.append(((S | (1 << i)) << 16) | (base + (256 if l < i else 0)) | (i + 2))
-    return out
+    bit = S >> i & 1
+    up = (i + 257 - (key & 0xFF)) >> 8
+    low = S - (S >> i << i)
+    return ((S >> (i + 1) << (i + 1 - bit) | (1 - bit) << i | low) << 16
+            | (key & 0xFF00) + (up << 8) - (bit << 8) | i + 2 - bit)
 
 
-def _rule_110(key):
-    """Children of a 110 state. A letter i in S: everything below i dies, i
+def _rule_110(key, i, s):
+    """Child of a 110 state. A letter i in S: everything below i dies, i
     itself renumbers to 0 and stays in the set, and the last letter is 0."""
-    l = (key & 0xFF) - 2
-    base = key & 0xFF00
     S = key >> 16
-    out = []
-    for i in range(base >> 8):
-        if S >> i & 1:
-            out.append(((S >> i) << 16) | (base + (256 if l < i else 0) - (i << 8)) | 2)
-        else:
-            out.append(((S | (1 << i)) << 16) | (base + (256 if l < i else 0)) | (i + 2))
-    return out
+    bit = S >> i & 1
+    cut = bit * i
+    up = (i + 257 - (key & 0xFF)) >> 8
+    return ((S >> cut | (1 - bit) << i) << 16
+            | (key & 0xFF00) + (up << 8) - (cut << 8) | i + 2 - cut)
 
 
-def _rule_120(key):
-    """Children of a 120 state. Everything below s, the largest seen value
+def _rule_120(key, i, s):
+    """Child of a 120 state. Everything below s, the largest seen value
     under i, dies; the shifted letter i-s joins the shifted set, so S always
     retains 0."""
-    l = (key & 0xFF) - 2
-    base = key & 0xFF00
-    S = key >> 16
-    out = []
-    s = 0  # largest value of S below i, or 0
-    for i in range(base >> 8):
-        if i and S >> (i - 1) & 1:
-            s = i - 1
-        out.append((((S >> s) | (1 << (i - s))) << 16)
-                   | (base + (256 if l < i else 0) - (s << 8)) | (i - s + 2))
-    return out
+    up = (i + 257 - (key & 0xFF)) >> 8
+    return ((key >> 16 >> s | 1 << (i - s)) << 16
+            | (key & 0xFF00) + (up << 8) - (s << 8) | i + 2 - s)
+
+
+def _next_s(S, i, s):
+    """s for letter i+1 from s for letter i: i itself if i is in S."""
+    return s + (S >> i & 1) * (i - s)
 
 
 _RULES = {"000": _rule_000, "110": _rule_110, "120": _rule_120}
@@ -285,23 +283,77 @@ def _check_cap(variant, n_terms, allow_over_cap):
         warnings.warn(f"{variant} run of {n_terms} terms exceeds cap {cap}")
 
 
+def _merge(keys, weights):
+    """Replace the key and weight chunks in the two lists by one chunk: the
+    distinct keys in order and the summed weight of each."""
+    # each temporary is dropped once used: a merge can hold three layers
+    k, w = np.concatenate(keys), np.concatenate(weights)
+    keys.clear()
+    weights.clear()
+    order = np.argsort(k, kind="stable")
+    k = k[order]
+    w = w[order]
+    del order
+    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+    keys.append(k[starts])
+    del k
+    weights.append(np.add.reduceat(w, starts))
+
+
+def _sweep_step(rule, keys, weights):
+    """The next layer of a sweep: distinct child keys with summed weights.
+
+    Parents come sorted by a (stably), and so do the children returned.
+    Parents with a letter i (a+2 > i) are then a suffix, and each letter is
+    one rule call over that suffix. Children are merged into the new layer
+    whenever the pending ones reach the parent layer's size, which keeps
+    memory O(layer).
+
+    A child that would set bit _S_BITS or above of S raises ValueError
+    before it joins the layer. The only bit a child can add to S is its l
+    (at most i), and the l byte stays exact even where the S field of the
+    uint64 key has overflowed.
+    """
+    a2 = (keys >> 8 & 0xFF).astype(np.uint8)
+    s = np.zeros_like(keys)
+    new_k, new_w = [], []
+    pending = 0
+    for i in range(int(a2[-1])):
+        lo = int(np.searchsorted(a2, i, side="right"))
+        kids = rule(keys[lo:], i, s[lo:])
+        if i >= _S_BITS and int((kids & 0xFF).max()) >= _S_BITS + 2:
+            raise ValueError(f"a child state sets bit {_S_BITS} or above of S, "
+                             f"beyond the {_S_BITS}-bit sweep key")
+        new_k.append(kids)
+        new_w.append(weights[lo:])
+        pending += len(kids)
+        if pending >= len(keys):
+            _merge(new_k, new_w)
+            pending = 0
+        s[lo:] = _next_s(keys[lo:] >> 16, i, s[lo:])
+    if pending:
+        _merge(new_k, new_w)
+    (keys,), (weights,) = new_k, new_w
+    order = np.argsort((keys >> 8 & 0xFF).astype(np.uint8), kind="stable")
+    return keys[order], weights[order]
+
+
 def _forward_series(variant, n_terms):
-    """One forward sweep over packed prefix states; the mass at depth d sums
-    to the count at length d+1. Every variant runs through its rule; dict
-    traffic dominates the cost."""
+    """One forward sweep over layers of packed prefix states; the mass at
+    depth d sums to the count at length d+1. A layer is a uint64 key array
+    and an object array of exact weights, stepped by `_sweep_step`. Every
+    state has a+2 children, so the last count is the sum of w * (a+2) over
+    the layer before it, and the largest layer is never built."""
     _pack(0, n_terms - 1, n_terms)  # deepest states: a <= n-1, l <= a+1 <= n
     rule = _RULES[variant]
-    layer = {_pack(1, 0, 0): 1}
+    keys = np.array([_pack(1, 0, 0)], dtype=np.uint64)
+    weights = np.array([1], dtype=object)
     terms = [1]
-    for _ in range(n_terms - 1):
-        new = {}
-        get = new.get
-        for key, w in layer.items():
-            for nk in rule(key):
-                v = get(nk)
-                new[nk] = w if v is None else v + w
-        layer = new
-        terms.append(sum(layer.values()))
+    for _ in range(n_terms - 2):
+        keys, weights = _sweep_step(rule, keys, weights)
+        terms.append(int(weights.sum()))
+    if n_terms > 1:
+        terms.append(int(np.dot(weights, (keys >> 8 & 0xFF).astype(object))))
     return CoefficientSeries(terms, first_index=1)
 
 
@@ -314,7 +366,9 @@ class MemoCache:
     """Value cache for a set-state recursion, keyed by (n, a, l, S-bitmask).
 
     Values never change once inserted; base-case keys (n = 0, value 1) are
-    not stored.
+    not stored. Every lookup of a non-base state, a root or a parent's
+    child, counts once: as a hit if its value is cached by then, else as a
+    miss that computes and stores it.
     """
 
     variant: str
@@ -330,9 +384,10 @@ def suffix_count(variant, n, a, l, S, cache=None):
     """f(n, a, l, S) for the given recursion variant, memoized.
 
     S may be an iterable of values or a bitmask int. Children come from the
-    variant's rule, the one the forward sweep runs; the cache holds them
-    unpacked, keyed by (n, a, l, S). A state whose descendants would not
-    fit the key fields raises ValueError.
+    variant's rule, the one the forward sweep runs, one letter at a time;
+    the cache holds them unpacked, keyed by (n, a, l, S) with S a Python
+    int. A state whose descendants would not fit the key fields raises
+    ValueError.
     """
     if not isinstance(S, int):
         S = bitset(S)
@@ -346,30 +401,31 @@ def suffix_count(variant, n, a, l, S, cache=None):
     if n == 0:
         return 1
     _pack(S, a + n - 1, l)  # the states recursed into reach a, l <= a + n - 1
-    stack = [(root, _pack(S, a, l))]
+    # entries (key, packed key, child keys once expanded)
+    stack = [(root, _pack(S, a, l), None)]
     while stack:
-        key, packed = stack[-1]
-        if key in data:
+        key, packed, kids = stack[-1]
+        if kids is None and key in data:
             cache.hits += 1
             stack.pop()
             continue
         kn = key[0]
-        kids = rule(packed)
         if kn == 1:
-            total = len(kids)
+            total = packed >> 8 & 0xFF  # a+2 children, each a base case
         else:
-            total = 0
-            pending = False
-            for nk in kids:
-                ck = (kn - 1, *_unpack(nk))
-                v = data.get(ck)
-                if v is None:
-                    pending = True
-                    stack.append((ck, nk))
-                elif not pending:
-                    total += v
-            if pending:
-                continue
+            if kids is None:
+                kids, s = [], 0
+                for i in range(packed >> 8 & 0xFF):
+                    nk = rule(packed, i, s)
+                    kids.append(((kn - 1, *_unpack(nk)), nk))
+                    s = _next_s(key[3], i, s)
+                missing = [(ck, nk, None) for ck, nk in kids if ck not in data]
+                cache.hits += len(kids) - len(missing)
+                if missing:
+                    stack[-1] = (key, packed, kids)
+                    stack.extend(missing)
+                    continue
+            total = sum(data[ck] for ck, _ in kids)
         cache.misses += 1
         data[key] = total
         stack.pop()

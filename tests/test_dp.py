@@ -3,6 +3,7 @@ engine cross-checks, cache analysis."""
 
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +15,11 @@ import safeguards as sg
 
 def _children(rule, S, a, l):
     """(a, l, S) of each child of state (a, l, S), indexed by the next letter."""
-    return [dp._unpack(k) for k in rule(dp._pack(S, a, l))]
+    key, kids, s = dp._pack(S, a, l), [], 0
+    for i in range(a + 2):
+        kids.append(dp._unpack(rule(key, i, s)))
+        s = dp._next_s(S, i, s)
+    return kids
 
 
 def test_ascent_indicator():
@@ -59,6 +64,50 @@ def test_largest_below():
     assert _children(dp._rule_120, 1, 2, 0)[3] == (3, 3, dp.bitset({0, 3}))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(dp._RULES)), st.integers(0, 2 ** dp._S_BITS - 1),
+       st.integers(-1, dp._S_BITS - 2), st.data())
+def test_rules_agree_on_int_and_array_keys(variant, S, a, data):
+    # a uint64 key array must give the Python-int children exactly: a mixed
+    # int64/uint64 operation would promote to float64 and round keys above
+    # 2**53. Letters stay below _S_BITS, so every child fits the sweep key.
+    l = data.draw(st.integers(-2, a + 1))
+    others = data.draw(st.lists(st.integers(0, 2 ** 64 - 1), max_size=3))
+    pos = data.draw(st.integers(0, len(others)))
+    rule, key = dp._RULES[variant], dp._pack(S, a, l)
+    keys = np.array(others[:pos] + [key] + others[pos:], dtype=np.uint64)
+    s, s_arr = 0, np.zeros_like(keys)
+    for i in range(a + 2):
+        kids = rule(keys, i, s_arr)
+        assert kids.dtype == np.uint64
+        assert int(kids[pos]) == rule(key, i, s), (variant, i)
+        s, s_arr = dp._next_s(S, i, s), dp._next_s(keys >> 16, i, s_arr)
+        assert s_arr.dtype == np.uint64 and int(s_arr[pos]) == s
+
+
+def test_sweep_key_guard():
+    def step(rule, S, a, l):
+        keys = np.array([dp._pack(S, a, l)], dtype=np.uint64)
+        keys, weights = dp._sweep_step(rule, keys, np.array([1], dtype=object))
+        return np.sort(keys), weights
+
+    # 110 (a=47, l=0, S={0}): the new letter 48 would set bit 48 of S
+    with pytest.raises(ValueError, match="bit 48"):
+        step(dp._rule_110, 1, 47, 0)
+    # one letter fewer sets at most bit 47; the layer equals the scalar rule's
+    keys, weights = step(dp._rule_110, 1, 46, 0)
+    want = sorted(dp._pack(S, a, l) for a, l, S in _children(dp._rule_110, 1, 46, 0))
+    assert keys.tolist() == want and weights.tolist() == [1] * 48
+    # 120 (a=50, S={0}): letter 48 has nothing below it in S but 0, so its
+    # child sets bit 48
+    with pytest.raises(ValueError, match="bit 48"):
+        step(dp._rule_120, 1, 50, 0)
+    # with 10 in S every child sets at most bit 41, so letters up to 51 pass:
+    # the guard is on the bit set, not on a or on the letter
+    keys, _ = step(dp._rule_120, dp.bitset({0, 10}), 50, 0)
+    assert len(keys) == 52 and int((keys & 0xFF).max()) - 2 == 41
+
+
 def test_ascent_series_golden():
     s = dp.enumerate_ascent(6)
     assert s.values == [1, 2, 5, 15, 53, 217]
@@ -101,15 +150,29 @@ PREFIX_N = 40
 
 
 @functools.cache
-def _full_run(engine):
-    return engine(PREFIX_N).values
+def _full_run(engine, n_terms):
+    return engine(n_terms).values
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(LAYERED), st.integers(1, PREFIX_N))
 def test_layered_prefix_consistency(engine, n):
     # slice bounds depend on n_terms, so a short run exercises other edges
-    assert engine(n).values == _full_run(engine)[:n]
+    assert engine(n).values == _full_run(engine, PREFIX_N)[:n]
+
+
+SETSTATE_PREFIX_N = {dp.enumerate_000_exponential: 20, dp.enumerate_110: 20,
+                     dp.enumerate_120: 30}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(SETSTATE_PREFIX_N)), st.data())
+def test_setstate_prefix_consistency(engine, data):
+    # the last count comes from the layer before it, sum w * (a+2), so every
+    # n takes that path at a different depth
+    N = SETSTATE_PREFIX_N[engine]
+    n = data.draw(st.integers(1, N))
+    assert engine(n).values == _full_run(engine, N)[:n]
 
 
 def test_oracle_equivalence_small():
@@ -124,6 +187,19 @@ def test_oracle_equivalence_small():
 def test_golden_000_prefix():
     assert dp.enumerate_000_polynomial(7).values == [1, 2, 4, 10, 27, 83, 277]
     assert dp.enumerate_000_exponential(7).values == [1, 2, 4, 10, 27, 83, 277]
+
+
+def test_memo_hits_count_cached_child_reads():
+    for variant in ("000", "110", "120"):
+        _, cache = dp.enumerate_with_cache(variant, 10)
+        # each lookup of a non-base state is one hit or one miss: the nine
+        # roots with n >= 1 and the a+2 children of each stored state with n >= 2
+        lookups = 9 + sum(a + 2 for n, a, _, _ in cache.data if n >= 2)
+        assert cache.hits + cache.misses == lookups, variant
+        assert cache.misses == len(cache.data) and cache.hits > 0
+        hits = cache.hits
+        dp.suffix_count(variant, 9, 0, 0, 1, cache=cache)
+        assert cache.hits == hits + 1
 
 
 def test_memo_engine_matches_forward():
@@ -197,7 +273,7 @@ def test_pack_limits():
 
 
 def test_sweep_rejects_unpackable_runs(monkeypatch):
-    def no_sweep(key):
+    def no_sweep(key, i, s):
         raise AssertionError("sweep started")
     monkeypatch.setitem(dp._RULES, "120", no_sweep)
     with pytest.warns(UserWarning), pytest.raises(ValueError, match="key fields"):

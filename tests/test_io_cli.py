@@ -23,10 +23,11 @@ REF_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 # Terms per engine in test_cli_every_engine_matches_reference; each reference
 # series is cross-checked against the oracles when it is written. The layered
-# engines run to the benchmark's depths, where values span many limbs.
+# engines run to the benchmark's depths, where values span many limbs; 110
+# and 120 run to the full reference depth, 000's set-state engine to 24.
 ENGINE_TERMS = {("none", "dp"): 200, ("000", "dp"): 64, ("000", "dp-poly"): 64,
-                ("000", "dp-exp"): 18, ("100", "dp"): 76, ("110", "dp"): 16,
-                ("110", "dp-exp"): 16, ("120", "dp"): 22, ("120", "dp-exp"): 22}
+                ("000", "dp-exp"): 24, ("100", "dp"): 76, ("110", "dp"): 21,
+                ("110", "dp-exp"): 21, ("120", "dp"): 40, ("120", "dp-exp"): 40}
 
 
 def run_cli(*argv):

@@ -216,7 +216,10 @@ def cmd_verify(args):
             return 1
         print(f"PASS series-file-comparison {loaded.n_exact} exact terms match")
         return 0
-    results = ver.run_checks(max_n=args.max_n)
+    try:
+        results = ver.run_checks(max_n=args.max_n)
+    except ValueError as exc:
+        return _fail("usage", str(exc), 2)
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:

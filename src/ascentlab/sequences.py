@@ -76,24 +76,30 @@ def contains_pattern(seq, pattern) -> bool:
     k = len(pattern)
     if k == 0:
         return True
-    if len(seq) < k:
+    n = len(seq)
+    if n < k:
         return False
-    chosen = []
+    # rows[j][a] = _cmp(pattern[j], pattern[a]) for a < j, built once per call
+    rows = [[_cmp(pattern[j], pattern[a]) for a in range(j)] for j in range(k)]
+    chosen = [0] * k
 
-    def rec(start):
-        j = len(chosen)
+    def rec(j, start):
         if j == k:
             return True
-        for idx in range(start, len(seq) - (k - j) + 1):
+        row = rows[j]
+        for idx in range(start, n - k + j + 1):
             v = seq[idx]
-            if all(_cmp(v, c) == _cmp(pattern[j], pattern[a]) for a, c in enumerate(chosen)):
-                chosen.append(v)
-                if rec(idx + 1):
+            for a in range(j):
+                c = chosen[a]
+                if (v > c) - (v < c) != row[a]:  # _cmp(v, c), inlined
+                    break
+            else:
+                chosen[j] = v
+                if rec(j + 1, idx + 1):
                     return True
-                chosen.pop()
         return False
 
-    return rec(0)
+    return rec(0, 0)
 
 
 def pattern_occurrences(seq, pattern) -> int:
@@ -185,8 +191,6 @@ def weak_ascent_sequences(length):
             prefix.pop()
 
     for first in range(length):
-        if first > length - 1:
-            break
         yield from rec([first], 0, first)
 
 
@@ -208,10 +212,42 @@ def _completion_masks(pattern, width):
     return masks
 
 
+class _BlockedLetters(dict):
+    """`self[seen, x]`: the bitset of letters z that complete the 3-letter
+    pattern with a new pair (u, x), u in `seen` -- the letters that appending
+    x to a prefix with letter set `seen` blocks for good.
+
+    Read off `_completion_masks`, so `_cmp` stays the one definition of the
+    pattern. Entries depend only on (seen, x) and hold no counts; they are
+    filled on first use.
+    """
+
+    def __init__(self, pattern, width):
+        super().__init__()
+        self.width = width
+        self.completes = _completion_masks(pattern, width)
+
+    def __missing__(self, key):
+        seen, x = key
+        w = self.width
+        pairs = sum(1 << (u * w + x) for u in range(w) if seen >> u & 1)
+        blocked = sum(1 << z for z, m in enumerate(self.completes) if m & pairs)
+        self[key] = blocked
+        return blocked
+
+
 def brute_force_avoiders(pattern, n_terms, weak=False, oracle_cap=ORACLE_CAP,
                          allow_over_cap=False) -> CoefficientSeries:
     """Exhaustive counts of pattern-avoiding (weak) ascent sequences of
-    lengths 1..n_terms, by prefix extension with sound pruning."""
+    lengths 1..n_terms.
+
+    Every avoider is reached by prefix extension, and a prefix is cut only
+    when it contains the pattern or (weak) can no longer be completed to a
+    weak ascent sequence of length <= n_terms; containment is inherited by
+    extensions, so no avoider is lost. Length-3 patterns run a bit-set DFS
+    (`_count_avoiders_3`, `_count_weak_avoiders_3`); other lengths re-test
+    each extension with `contains_pattern`. Shares no code with `dp`.
+    """
     pattern = parse_pattern(pattern)
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -230,54 +266,83 @@ def brute_force_avoiders(pattern, n_terms, weak=False, oracle_cap=ORACLE_CAP,
 
 
 def _count_avoiders_3(pattern, n_terms):
-    """DFS over ascent sequences; pruned the moment a letter would complete the
-    pattern, so every visited node is an avoider."""
-    width = n_terms + 1
-    completes = _completion_masks(pattern, width)
-    counts = [0] * (n_terms + 1)
-    w = width
+    """DFS over the pattern-avoiding ascent sequences of length < n_terms;
+    the avoiders of length n_terms are counted, not visited.
 
-    def rec(depth, asc, last, base, seen, pairs):
+    A node is an avoiding prefix with its ascent count `asc`, last letter,
+    letter set `seen` and `blocked`, the letters that would complete the
+    pattern if appended. A child x is allowed when x <= asc+1 and x is not
+    blocked, so every visited node is an avoider. Avoidance is inherited by
+    prefixes, so each avoider of length n_terms is an avoider of length
+    n_terms-1 plus one allowed letter, and distinct letters give distinct
+    sequences: at depth n_terms-1 the popcount of the allowed letters
+    0..asc+1 is exactly the number of length-n_terms avoiders below the node.
+    """
+    blocks = _BlockedLetters(pattern, n_terms + 1)
+    counts = [0] * (n_terms + 1)
+    last_depth = n_terms - 1
+
+    def rec(depth, asc, last, seen, blocked):
         counts[depth] += 1
-        if depth == n_terms:
+        if depth == last_depth:
+            counts[n_terms] += ((1 << (asc + 2)) - 1 & ~blocked).bit_count()
             return
         for x in range(asc + 2):
-            if pairs & completes[x]:
-                continue
-            nbase = base if (seen >> x) & 1 else base | (1 << (x * w))
-            rec(depth + 1, asc + (1 if last < x else 0), x,
-                nbase, seen | (1 << x), pairs | (base << x))
+            if not blocked >> x & 1:
+                rec(depth + 1, asc + (last < x), x, seen | 1 << x,
+                    blocked | blocks[seen, x])
 
-    rec(1, 0, 0, 1, 1, 0)
+    if n_terms == 1:
+        counts[1] = 1
+    else:
+        rec(1, 0, 0, 1, 0)
     return counts
 
 
 def _count_weak_avoiders_3(pattern, n_terms):
-    """Per-target-length DFS over weak ascent sequences with the same
-    pattern pruning; a prefix is viable while remaining letters could still
-    supply the missing ascents."""
-    width = n_terms + 1
-    completes = _completion_masks(pattern, width)
+    """One DFS over the pattern-avoiding prefixes of weak ascent sequences
+    of length < n_terms, with the blocked-letter pruning of
+    `_count_avoiders_3`; the avoiders of length n_terms are counted, not
+    visited.
+
+    A prefix of length d with maximum `hi` is a weak ascent sequence, and
+    counts for length d, when hi <= asc. It is extended while the letters
+    left up to n_terms (one ascent each at most) can still lift asc to hi;
+    every prefix of a weak avoider of length <= n_terms passes that test, so
+    the one pass visits what a separate pass per length would visit.
+
+    At depth n_terms-1 that test leaves hi <= asc+1, and a last letter x
+    completes a weak ascent sequence iff x <= asc+1 and, when hi = asc+1,
+    x > last (the ascent that lifts asc to hi). The popcount of those letters
+    that are not blocked counts the length-n_terms avoiders below the node,
+    by the inheritance argument of `_count_avoiders_3`.
+    """
+    blocks = _BlockedLetters(pattern, n_terms + 1)
     counts = [0] * (n_terms + 1)
-    w = width
+    last_depth = n_terms - 1
 
-    for k in range(1, n_terms + 1):
-        def rec(depth, asc, last, hi, base, seen, pairs):
-            if depth == k:
-                counts[k] += 1
-                return
-            remaining = k - depth - 1
-            for x in range(asc + 2 + remaining):
-                if max(hi, x) > asc + (1 if last < x else 0) + remaining:
-                    continue
-                if pairs & completes[x]:
-                    continue
-                nbase = base if (seen >> x) & 1 else base | (1 << (x * w))
-                rec(depth + 1, asc + (1 if last < x else 0), x, max(hi, x),
-                    nbase, seen | (1 << x), pairs | (base << x))
+    def rec(depth, asc, last, hi, seen, blocked):
+        if hi <= asc:
+            counts[depth] += 1
+        if depth == last_depth:
+            allowed = (1 << (asc + 2)) - 1
+            if hi > asc:
+                allowed &= -1 << (last + 1)
+            counts[n_terms] += (allowed & ~blocked).bit_count()
+            return
+        remaining = n_terms - depth - 1
+        for x in range(asc + 2 + remaining):
+            nasc = asc + (last < x)
+            nhi = hi if hi > x else x
+            if nhi - nasc > remaining or blocked >> x & 1:
+                continue
+            rec(depth + 1, nasc, x, nhi, seen | 1 << x, blocked | blocks[seen, x])
 
-        for first in range(k):
-            rec(1, 0, first, first, 1 << (first * w), 1 << first, 0)
+    if n_terms == 1:
+        counts[1] = 1
+    else:
+        for first in range(n_terms):
+            rec(1, 0, first, first, 1 << first, 0)
     return counts
 
 

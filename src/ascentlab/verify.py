@@ -17,13 +17,19 @@ class CheckResult:
     detail: str = ""
 
 
+MAX_N_RANGE = range(4, 15)
+
+
 def _catalan(n):
     return math.comb(2 * n, n) // (n + 1)
 
 
 def run_checks(max_n=10, cache_terms=12) -> list:
-    """Run the suite; max_n bounds the exhaustive enumerations."""
-    max_n = max(4, min(max_n, 14))
+    """Run the suite; max_n bounds the exhaustive enumerations. A max_n
+    outside MAX_N_RANGE (4..14) raises ValueError instead of being clamped."""
+    if max_n not in MAX_N_RANGE:
+        raise ValueError(f"max_n must be in {MAX_N_RANGE.start}..{MAX_N_RANGE.stop - 1}, "
+                         f"got {max_n}")
     results = []
 
     def check(name, ok, detail=""):

@@ -9,17 +9,23 @@ beyond the exhaustive-oracle range.
 
 
 def _forward(counts_len, root, step):
-    """Generic forward sweep: `step(state) -> iterable of next states`."""
+    """Generic forward sweep: `step(state) -> iterable of next states`.
+
+    The last term is the weighted number of children of the second-to-last
+    layer, so the last layer itself is never built.
+    """
     layer = {root: 1}
     counts = [0] * (counts_len + 1)
     counts[1] = 1
-    for k in range(2, counts_len + 1):
+    for k in range(2, counts_len):
         new = {}
         for st, w in layer.items():
             for nxt in step(st):
                 new[nxt] = new.get(nxt, 0) + w
         layer = new
         counts[k] = sum(layer.values())
+    if counts_len > 1:
+        counts[counts_len] = sum(w * sum(1 for _ in step(st)) for st, w in layer.items())
     return counts[1:]
 
 

@@ -147,10 +147,27 @@ def test_criterion_5_cache_repetition_full_collapse():
             f"fraction {rep.single_valued_fraction:.4f} != 1.0")
 
 
-def test_criterion_5_bijection_lemma_pairs():
-    _, cache = dp.enumerate_with_cache("000", 15)
-    ok, checked = ver.bijection_lemma_pairs_equal(cache, 14)
+@pytest.fixture(scope="module")
+def cache000_15():
+    return dp.enumerate_with_cache("000", 15)[1]
+
+
+def test_criterion_5_bijection_lemma_pairs(cache000_15):
+    ok, checked = ver.bijection_lemma_pairs_equal(cache000_15, 14)
     _report(5, ok, f"all {checked} provable swap pairs (i < l) value-equal at n<=14")
+
+
+def test_criterion_5_grouping_above_l(cache000_15):
+    # what the swap lemma does collapse: below l only |S & [0, l]| matters,
+    # while S above l stays exact
+    def above_l_exact(key):
+        n, a, l, S = key
+        return (n, a, l, S >> (l + 1), (S & ((1 << (l + 1)) - 1)).bit_count())
+
+    rep = dp.cache_repetition_report(cache000_15, group_by=above_l_exact)
+    _report(5, rep.single_valued_fraction == 1.0,
+            f"(n,a,l,S above l,|S & [0,l]|) single-valued: {len(rep.groups)} groups "
+            f"for {rep.total_keys} keys, fraction {rep.single_valued_fraction:.4f}")
 
 
 def test_criterion_6_weak_sequence_theorem():

@@ -263,6 +263,13 @@ def test_cli_usage_validation(tmp_path, capsys):
                    "--output", "y", "--precision", "10") == 2
     assert run_cli("enumerate", "--pattern", "000", "--terms", "0",
                    "--output", str(tmp_path / "z.bf")) == 2
+    # verify's exhaustive depth is rejected, not clamped, outside 4..14
+    capsys.readouterr()
+    for bad in ("3", "15", "20"):
+        assert run_cli("verify", "--max-n", bad) == 2
+        captured = capsys.readouterr()
+        assert "error: usage: max_n must be in 4..14" in captured.err
+        assert "checks passed" not in captured.out
     # patterns without an engine are rejected by argparse before any work
     with pytest.raises(SystemExit) as exc:
         run_cli("verify", "--input", str(tmp_path / "z.bf"), "--pattern", "201")

@@ -2,8 +2,10 @@
 
 import math
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ascentlab import sequences as sq
 from ascentlab.errors import CapExceededError
@@ -70,6 +72,20 @@ def test_contains_pattern_monotone_under_supersequence():
         for p in patterns:
             if sq.contains_pattern(sub, p):
                 assert sq.contains_pattern(s, p)
+
+
+def _dense(word):
+    """Rank-normalise a word so its distinct letters form 0..r."""
+    ranks = {v: i for i, v in enumerate(sorted(set(word)))}
+    return tuple(ranks[v] for v in word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=8),
+       st.lists(st.integers(0, 3), max_size=4))
+def test_contains_pattern_matches_occurrence_count(seq, word):
+    seq, pattern = tuple(seq), _dense(word)
+    assert sq.contains_pattern(seq, pattern) == (sq.pattern_occurrences(seq, pattern) > 0)
 
 
 def test_weak_reverse_complement():
@@ -144,6 +160,24 @@ def test_brute_force_generic_fallback_matches_fast_path():
         fastw = sq.brute_force_avoiders(p, 6, weak=True).values
         sloww = sq._count_avoiders_generic(p, 6, weak=True)[1:]
         assert fastw == sloww
+
+
+LENGTH3_PATTERNS = sorted({_dense(w) for w in product(range(3), repeat=3)})
+
+
+def test_oracle_matches_definition_every_length3_pattern():
+    # the bit-set DFS kernels against plain filtering of every (weak) ascent
+    # sequence by contains_pattern
+    assert len(LENGTH3_PATTERNS) == 13
+    strong = {k: list(sq.ascent_sequences(k)) for k in range(1, 9)}
+    weak = {k: list(sq.weak_ascent_sequences(k)) for k in range(1, 8)}
+    for p in LENGTH3_PATTERNS:
+        want = [sum(1 for s in strong[k] if not sq.contains_pattern(s, p))
+                for k in range(1, 9)]
+        assert sq.brute_force_avoiders(p, 8).values == want, p
+        want = [sum(1 for s in weak[k] if not sq.contains_pattern(s, p))
+                for k in range(1, 8)]
+        assert sq.brute_force_avoiders(p, 7, weak=True).values == want, p
 
 
 def test_weak_counts_match_definition():

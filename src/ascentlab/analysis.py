@@ -3,8 +3,10 @@ exponential, stretched-exponential and factorial factors.
 
 Everything runs at a configurable decimal precision (mpmath); transforms of
 exact integer series form each ratio as an exact rational and round once.
-Estimators that assume a growth model take the model parameters explicitly;
-nothing is inferred silently.
+The quotient transforms (ratios, EGF ratios, Hadamard quotients) share one
+quotient loop, every local gradient comes from one helper, and the 4x4
+window fits share one solve. Estimators that assume a growth model take
+the model parameters explicitly; nothing is inferred silently.
 """
 
 from __future__ import annotations
@@ -97,44 +99,39 @@ def _values_with_indices(series):
     return list(series.indices()), list(series.values)
 
 
-def ratios(c, dps=None) -> RealSeries:
-    """r_n = c_n / c_{n-1}; exact rational first when the input is exact."""
-    d = working_dps(c, dps=dps)
-    ns, vals = _values_with_indices(c)
-    if len(vals) < 2:
-        raise ValueError("need at least two terms for ratios")
-    exact = isinstance(c, CoefficientSeries)
+def _quotients(ns, nums, dens, exact, dps) -> RealSeries:
+    """nums_i / dens_i at the indices ns: the exact rational rounded once
+    when the inputs are exact integers, else a real quotient."""
     out = []
-    with mpmath.workdps(d):
-        for prev, cur in zip(vals, vals[1:]):
-            if prev == 0:
-                raise ValueError("zero coefficient in ratio transform")
+    with mpmath.workdps(dps):
+        for n, num, den in zip(ns, nums, dens):
+            if den == 0:
+                raise ValueError(f"zero divisor at index {n}")
             if exact:
-                q = Fraction(cur, prev)
+                q = Fraction(num, den)
                 out.append(mpf(q.numerator) / mpf(q.denominator))
             else:
-                out.append(mpf(cur) / mpf(prev))
-    return RealSeries(out, first_index=ns[1], dps=d)
+                out.append(mpf(num) / mpf(den))
+    return RealSeries(out, first_index=ns[0], dps=dps)
+
+
+def ratios(c, dps=None) -> RealSeries:
+    """r_n = c_n / c_{n-1}; exact rational first when the input is exact."""
+    if len(c) < 2:
+        raise ValueError("need at least two terms for ratios")
+    return _quotients(c.indices()[1:], c.values[1:], c.values[:-1],
+                      isinstance(c, CoefficientSeries), working_dps(c, dps=dps))
 
 
 def egf_ratios(c, dps=None) -> RealSeries:
     """Exponential-generating-function ratios r_n = c_n / (n * c_{n-1})."""
-    d = working_dps(c, dps=dps)
-    ns, vals = _values_with_indices(c)
-    if len(vals) < 2:
+    if len(c) < 2:
         raise ValueError("need at least two terms for ratios")
-    exact = isinstance(c, CoefficientSeries)
-    out = []
-    with mpmath.workdps(d):
-        for n, prev, cur in zip(ns[1:], vals, vals[1:]):
-            if prev == 0:
-                raise ValueError("zero coefficient in ratio transform")
-            if exact:
-                q = Fraction(cur, n * prev)
-                out.append(mpf(q.numerator) / mpf(q.denominator))
-            else:
-                out.append(mpf(cur) / (n * mpf(prev)))
-    return RealSeries(out, first_index=ns[1], dps=d)
+    d = working_dps(c, dps=dps)
+    ns = c.indices()[1:]
+    with mpmath.workdps(d):  # real products round at the working precision
+        dens = [n * v for n, v in zip(ns, c.values)]
+    return _quotients(ns, c.values[1:], dens, isinstance(c, CoefficientSeries), d)
 
 
 def linear_intercepts(r: RealSeries) -> RealSeries:
@@ -170,35 +167,32 @@ def intercept_pipeline(r: RealSeries):
     return l, l2, l3
 
 
-def local_gradients(y, xs) -> list:
-    """Pairs (n, dy/dx) over consecutive points; xs maps n to the abscissa."""
-    out = []
-    with mpmath.workdps(y.dps):
-        for n in range(y.first_index + 1, y.last_index + 1):
-            dx = xs(n) - xs(n - 1)
-            out.append((n, (y.at(n) - y.at(n - 1)) / dx))
-    return out
+def _gradients(ns, xs, ys):
+    """(ns[1:], dy/dx over consecutive points), at the caller's precision."""
+    return ns[1:], [(ys[i] - ys[i - 1]) / (xs[i] - xs[i - 1])
+                    for i in range(1, len(ns))]
+
+
+def _trace_against_log_n(name, ns, ys, dps, skipped=()):
+    with mpmath.workdps(dps):
+        xs = [mpmath.log(n) for n in ns]
+        gns, grads = _gradients(ns, xs, ys)
+    return EstimatorTrace(name=name, abscissa="log n", ns=ns, x=xs, y=ys,
+                          gradient_ns=gns, gradients=grads,
+                          skipped=list(skipped), dps=dps)
 
 
 def _log_trace(name, ns, raw, dps):
     """log(raw) against log(n), skipping non-positive entries."""
-    xs, ys, kept = [], [], []
-    skipped = []
+    kept, ys, skipped = [], [], []
     with mpmath.workdps(dps):
         for n, v in zip(ns, raw):
             if v <= 0:
                 skipped.append((n, "non-positive argument to log"))
                 continue
             kept.append(n)
-            xs.append(mpmath.log(n))
             ys.append(mpmath.log(v))
-        gns, grads = [], []
-        for i in range(1, len(kept)):
-            gns.append(kept[i])
-            grads.append((ys[i] - ys[i - 1]) / (xs[i] - xs[i - 1]))
-    return EstimatorTrace(name=name, abscissa="log n", ns=kept, x=xs, y=ys,
-                          gradient_ns=gns, gradients=grads, skipped=skipped,
-                          dps=dps)
+    return _trace_against_log_n(name, kept, ys, dps, skipped)
 
 
 def sigma_estimator_ratio(r: RealSeries) -> EstimatorTrace:
@@ -254,7 +248,13 @@ def sigma_local_gradient_known_mu(r: RealSeries, mu) -> RealSeries:
 
 
 def mu1_estimator(r: RealSeries, mu, sigma) -> RealSeries:
-    """(r_n/mu - 1) * n^(1-sigma); limit is sigma * log(mu1)."""
+    """(r_n/mu - 1) * n^(1-sigma); limit is sigma * log(mu1).
+
+    The n^g factor of the growth leaks in at order g * n^(-sigma): under
+    pure power growth (mu1 = 1) r_n/mu = (n/(n-1))^g, so the estimator reads
+    about g * n^(-sigma) rather than 0, e.g. 10/99 ~ 0.101 at n = 100 with
+    g = 1 and sigma = 1/2. This bias decays slowly; it is not cancelled here.
+    """
     if not mu > 0 or not 0 < sigma < 1:
         raise ValueError("need mu > 0 and 0 < sigma < 1")
     out = []
@@ -273,7 +273,7 @@ def g_estimator(c, mu, sigma, dps=None) -> EstimatorTrace:
         raise ValueError("mu must be positive")
     d = working_dps(c, dps=dps)
     ns, vals = _values_with_indices(c)
-    xs, ys, kept = [], [], []
+    ys = []
     with mpmath.workdps(d):
         m, s = to_mpf(mu, d), to_mpf(sigma, d)
         logmu = mpmath.log(m)
@@ -282,15 +282,8 @@ def g_estimator(c, mu, sigma, dps=None) -> EstimatorTrace:
             n = ns[i]
             e = ((mpf(n - 1) ** s) * logd[i] - (mpf(n) ** s) * logd[i - 1]) \
                 * mpf(n) ** (1 - s)
-            kept.append(n)
-            xs.append(mpmath.log(n))
             ys.append(e / s)
-        gns, grads = [], []
-        for i in range(1, len(kept)):
-            gns.append(kept[i])
-            grads.append((ys[i] - ys[i - 1]) / (xs[i] - xs[i - 1]))
-    return EstimatorTrace(name="g_estimator", abscissa="log n", ns=kept, x=xs,
-                          y=ys, gradient_ns=gns, gradients=grads, dps=d)
+    return _trace_against_log_n("g_estimator", ns[1:], ys, d)
 
 
 def mu1_refined(c, mu, sigma, g, dps=None) -> RealSeries:
@@ -313,6 +306,18 @@ def mu1_refined(c, mu, sigma, g, dps=None) -> RealSeries:
     return RealSeries(out, first_index=ns[1], dps=d)
 
 
+def _solve_window(rows, rhs, k, name) -> LinearFitWindow:
+    """Solve rows * x = rhs for the window name=k, at the caller's precision."""
+    A = mpmath.matrix(rows)
+    b = mpmath.matrix(rhs)
+    try:
+        sol = mpmath.lu_solve(A, b)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"singular fit system at window {name}={k}") from exc
+    resid = max(abs(x) for x in (A * sol - b))
+    return LinearFitWindow(k=k, coefficients=list(sol), residual=resid)
+
+
 def fit_ratio4(r: RealSeries, sigma, k) -> LinearFitWindow:
     """Solve r_n = c1 + c2/n^(1-sigma) + c3/n + c4/n^(2-2sigma) on the window
     n = k-2..k+1. c1 estimates mu, c2 -> mu*sigma*log(mu1), c3 -> mu*g
@@ -326,14 +331,7 @@ def fit_ratio4(r: RealSeries, sigma, k) -> LinearFitWindow:
             nn = mpf(n)
             rows.append([mpf(1), nn ** (s - 1), 1 / nn, nn ** (2 * s - 2)])
             rhs.append(r.at(n))
-        A = mpmath.matrix(rows)
-        b = mpmath.matrix(rhs)
-        try:
-            sol = mpmath.lu_solve(A, b)
-        except ZeroDivisionError as exc:
-            raise ValueError(f"singular fit system at window k={k}") from exc
-        resid = max(abs(x) for x in (A * sol - b))
-    return LinearFitWindow(k=k, coefficients=list(sol), residual=resid)
+        return _solve_window(rows, rhs, k, "k")
 
 
 def fit_ratio4_sweep(r: RealSeries, sigma, ks=None):
@@ -355,14 +353,7 @@ def fit_stirling_log(c, m, dps=None) -> LinearFitWindow:
             lk = mpmath.log(k)
             rows.append([k * lk, mpf(k), lk, mpf(1)])
             rhs.append(mpmath.log(to_mpf(c.at(k), d)))
-        A = mpmath.matrix(rows)
-        b = mpmath.matrix(rhs)
-        try:
-            sol = mpmath.lu_solve(A, b)
-        except ZeroDivisionError as exc:
-            raise ValueError(f"singular fit system at window m={m}") from exc
-        resid = max(abs(x) for x in (A * sol - b))
-    return LinearFitWindow(k=m, coefficients=list(sol), residual=resid)
+        return _solve_window(rows, rhs, m, "m")
 
 
 def fit_stirling_log_sweep(c, ms=None, dps=None):
@@ -386,41 +377,25 @@ def factorial_ratio_transforms(c, dps=None) -> FactorialRatioTraces:
     if len(c) < 4:
         raise ValueError("need at least four terms")
     r = ratios(c, dps=dps)
-    out_s = []
-    with mpmath.workdps(r.dps):
-        for n in range(r.first_index + 1, r.last_index + 1):
-            out_s.append(r.at(n) / r.at(n - 1))
-        s = RealSeries(out_s, first_index=r.first_index + 1, dps=r.dps)
-        out_t = []
-        for n in range(s.first_index + 1, s.last_index + 1):
-            out_t.append((n * n * s.at(n) - (n - 1) * (n - 1) * s.at(n - 1))
-                         / (2 * n - 1))
-        t = RealSeries(out_t, first_index=s.first_index + 1, dps=s.dps)
-        grads = local_gradients(t, lambda n: mpf(1) / n)
-        alpha = [(n, 2 * gv) for n, gv in grads]
+    s = ratios(r)
+    t = quadratic_intercepts(s)
+    with mpmath.workdps(t.dps):
+        ns, grads = _gradients(t.indices(), [mpf(1) / n for n in t.indices()],
+                               t.values)
+        alpha = [(n, 2 * gv) for n, gv in zip(ns, grads)]
     return FactorialRatioTraces(r=r, s=s, t=t, alpha_estimates=alpha)
 
 
 def hadamard_quotient(a, b, dps=None) -> RealSeries:
     """h_n = a_n / b_n on the overlap of the two index ranges."""
-    d = working_dps(a, b, dps=dps)
     lo = max(a.first_index, b.first_index)
     hi = min(a.last_index, b.last_index)
     if lo > hi:
         raise ValueError("series do not overlap")
+    ns = range(lo, hi + 1)
     exact = isinstance(a, CoefficientSeries) and isinstance(b, CoefficientSeries)
-    out = []
-    with mpmath.workdps(d):
-        for n in range(lo, hi + 1):
-            bv = b.at(n)
-            if bv == 0:
-                raise ValueError(f"zero divisor at index {n}")
-            if exact:
-                q = Fraction(a.at(n), bv)
-                out.append(mpf(q.numerator) / mpf(q.denominator))
-            else:
-                out.append(mpf(a.at(n)) / mpf(bv))
-    return RealSeries(out, first_index=lo, dps=d)
+    return _quotients(ns, [a.at(n) for n in ns], [b.at(n) for n in ns], exact,
+                      working_dps(a, b, dps=dps))
 
 
 def synth_series(params, n_terms, dps=DEFAULT_DPS) -> RealSeries:
@@ -491,10 +466,10 @@ def extrapolate_intercept(series, power=1.0, depth=3, name="trace") -> Intercept
         vals = list(series.values)
         dps = series.dps
     else:
-        ns, vals = map(list, zip(*series))
+        ns, vals = [n for n, _ in series], [v for _, v in series]
         dps = DEFAULT_DPS
     if not ns:
-        raise ValueError("empty trace")
+        raise ValueError(f"empty trace {name}")
     depth = min(depth, len(ns))
     with mpmath.workdps(dps):
         xs = [mpf(n) ** mpf(-power) for n in ns[-depth:]]

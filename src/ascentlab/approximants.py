@@ -301,14 +301,12 @@ def recurrence_extend_exact(da: DifferentialApproximant, c: CoefficientSeries,
     return _extend_values(da, coeffs, count, exact=True, dps=DEFAULT_DPS)
 
 
-def _poly_mpf(coeffs, dps, scale=None):
+def _poly_mpf(coeffs, dps, scale):
     """Fraction coefficients -> mpf list, divided by a shared scale.
 
     Polynomials entering a ratio must share one scale or the ratio changes.
     """
     with mpmath.workdps(dps):
-        if scale is None:
-            scale = max(abs(v) for v in coeffs)
         if scale == 0:
             return [mpf(0) for _ in coeffs]
         return [mpf((v / scale).numerator) / mpf((v / scale).denominator)

@@ -50,71 +50,53 @@ def cmd_enumerate(args):
     return 0
 
 
-def _analyze_power(real, dps, summaries):
+# Each _analyze_* returns (CSV columns, [(summary name, trace, abscissa power)]).
+
+def _analyze_power(real, dps):
     r = an.ratios(real, dps=dps)
     l, l2, l3 = an.intercept_pipeline(r)
-    summaries.append(an.extrapolate_intercept(l2, power=1, depth=3, name="l2"))
-    summaries.append(an.extrapolate_intercept(l3, power=1, depth=3, name="l3"))
-    return {"r": r, "l": l, "l2": l2, "l3": l3}
+    return {"r": r, "l": l, "l2": l2, "l3": l3}, [("l2", l2, 1), ("l3", l3, 1)]
 
 
-def _analyze_stretched(real, dps, sigma, mu, g, summaries):
+def _analyze_stretched(real, dps, sigma, mu, g):
     r = an.ratios(real, dps=dps)
     l = an.linear_intercepts(r)
-    cols = {"r": r, "l": l}
     t1 = an.sigma_estimator_ratio(r)
     t2 = an.sigma_estimator_root(real, dps=dps)
-    cols["sigma_ratio_grad"] = list(zip(t1.gradient_ns, t1.gradients))
-    cols["sigma_root_grad"] = list(zip(t2.gradient_ns, t2.gradients))
-    if t1.gradients:
-        summaries.append(an.extrapolate_intercept(
-            list(zip(t1.gradient_ns, t1.gradients)), power=sigma, depth=3,
-            name="sigma_ratio_gradient"))
-    if t2.gradients:
-        summaries.append(an.extrapolate_intercept(
-            list(zip(t2.gradient_ns, t2.gradients)), power=sigma, depth=3,
-            name="sigma_root_gradient"))
+    g1 = list(zip(t1.gradient_ns, t1.gradients))
+    g2 = list(zip(t2.gradient_ns, t2.gradients))
+    cols = {"r": r, "l": l, "sigma_ratio_grad": g1, "sigma_root_grad": g2}
+    traces = [(name, grads, sigma) for name, grads in
+              (("sigma_ratio_gradient", g1), ("sigma_root_gradient", g2)) if grads]
     if mu is not None:
         sg = an.sigma_local_gradient_known_mu(r, mu)
         m1 = an.mu1_estimator(r, mu, sigma)
         cols["sigma_known_mu"] = sg
         cols["mu1_estimate"] = m1
-        summaries.append(an.extrapolate_intercept(sg, power=sigma, depth=3,
-                                                  name="sigma_known_mu"))
-        summaries.append(an.extrapolate_intercept(m1, power=0.5, depth=3,
-                                                  name="mu1_estimate"))
         fits = an.fit_ratio4_sweep(r, sigma)
         for idx in range(4):
             cols[f"ratfit_c{idx + 1}"] = [(w.k, w.coefficients[idx]) for w in fits]
-        summaries.append(an.extrapolate_intercept(
-            [(w.k, w.coefficients[0]) for w in fits], power=1, depth=3,
-            name="ratfit_c1"))
+        traces += [("sigma_known_mu", sg, sigma), ("mu1_estimate", m1, 0.5),
+                   ("ratfit_c1", cols["ratfit_c1"], 1)]
         if g is not None:
-            mr = an.mu1_refined(real, mu, sigma, g, dps=dps)
-            cols["mu1_refined"] = mr
-            summaries.append(an.extrapolate_intercept(mr, power=1, depth=3,
-                                                      name="mu1_refined"))
-    return cols
+            cols["mu1_refined"] = an.mu1_refined(real, mu, sigma, g, dps=dps)
+            traces.append(("mu1_refined", cols["mu1_refined"], 1))
+    return cols, traces
 
 
-def _analyze_factorial(real, dps, summaries):
+def _analyze_factorial(real, dps):
     tr = an.factorial_ratio_transforms(real, dps=dps)
     cols = {"r": tr.r, "s": tr.s, "t": tr.t, "alpha_estimate": tr.alpha_estimates}
-    summaries.append(an.extrapolate_intercept(tr.alpha_estimates, power=1,
-                                              depth=3, name="alpha_estimate"))
     fits = an.fit_stirling_log_sweep(real, dps=dps)
     for idx in range(4):
         cols[f"stirling_e{idx + 1}"] = [(w.k, w.coefficients[idx]) for w in fits]
-    summaries.append(an.extrapolate_intercept(
-        [(w.k, w.coefficients[0]) for w in fits], power=1, depth=3, name="stirling_e1"))
-    summaries.append(an.extrapolate_intercept(
-        [(w.k, w.coefficients[1]) for w in fits], power=1, depth=3, name="stirling_e2"))
     er = an.egf_ratios(real, dps=dps)
     el, el2, el3 = an.intercept_pipeline(er)
     cols.update({"egf_r": er, "egf_l": el, "egf_l2": el2, "egf_l3": el3})
-    summaries.append(an.extrapolate_intercept(el2, power=1, depth=3, name="egf_l2"))
-    summaries.append(an.extrapolate_intercept(el3, power=1, depth=3, name="egf_l3"))
-    return cols
+    return cols, [("alpha_estimate", tr.alpha_estimates, 1),
+                  ("stirling_e1", cols["stirling_e1"], 1),
+                  ("stirling_e2", cols["stirling_e2"], 1),
+                  ("egf_l2", el2, 1), ("egf_l3", el3, 1)]
 
 
 def cmd_analyze(args):
@@ -129,20 +111,20 @@ def cmd_analyze(args):
     assumptions = {"model": args.model, "precision": dps,
                    "input_terms_exact": loaded.n_exact,
                    "input_terms_predicted": len(loaded.approx)}
-    summaries = []
     try:
         if args.model == "power":
-            cols = _analyze_power(real, dps, summaries)
+            cols, traces = _analyze_power(real, dps)
         elif args.model == "stretched":
-            sigma = args.sigma if args.sigma is not None else 0.375
-            assumptions["sigma"] = sigma
+            assumptions["sigma"] = args.sigma
             if args.mu is not None:
                 assumptions["mu"] = args.mu
             if args.g is not None:
                 assumptions["g"] = args.g
-            cols = _analyze_stretched(real, dps, sigma, args.mu, args.g, summaries)
+            cols, traces = _analyze_stretched(real, dps, args.sigma, args.mu, args.g)
         else:
-            cols = _analyze_factorial(real, dps, summaries)
+            cols, traces = _analyze_factorial(real, dps)
+        summaries = [an.extrapolate_intercept(trace, power=power, depth=3, name=name)
+                     for name, trace, power in traces]
     except ValueError as exc:
         return _fail("insufficient-terms", str(exc))
     aio.write_trace_csv(args.output, cols, assumptions=assumptions, dps=dps)
@@ -251,7 +233,7 @@ def build_parser():
     pa.add_argument("--input", required=True)
     pa.add_argument("--output", required=True)
     pa.add_argument("--model", required=True)
-    pa.add_argument("--sigma", type=float)
+    pa.add_argument("--sigma", type=float, default=0.375)
     pa.add_argument("--mu", type=float)
     pa.add_argument("--g", type=float)
     pa.add_argument("--precision", type=int, default=DEFAULT_DPS)

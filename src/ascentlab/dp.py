@@ -16,8 +16,9 @@ Two engine styles:
   to a whole layer of uint64 keys per letter and sums equal children by
   sort and `reduceat`, with exact Python-int weights. A memoized recursion
   through the same rule, one letter at a time and keyed by (n, a, l, S)
-  with S unbounded, produces an introspectable value cache for repetition
-  analysis.
+  with S unbounded, produces an introspectable value cache;
+  `cache_repetition_report` groups its values by (n, a, l, |S|) or by a
+  caller's projection of the key.
 
 `ENGINES` maps each (pattern, algorithm) pair to its engine; the CLI, the
 dispatcher and the cross-checks all read it.
@@ -496,77 +497,34 @@ def enumerate_avoiders(pattern, n_terms, algorithm="dp",
 # cache repetition analysis
 # ---------------------------------------------------------------------------
 
-def _proj_cardinality(key):
-    return (key[0], key[1], key[2], key[3].bit_count())
-
-
-def _proj_drop_l(key):
-    return (key[0], key[1], key[3].bit_count())
-
-
-def _proj_drop_a(key):
-    return (key[0], key[2], key[3].bit_count())
-
-
-def _proj_drop_set(key):
-    return (key[0], key[1], key[2])
-
-
-CANDIDATE_PROJECTIONS = {
-    "n,a,l,|S|": _proj_cardinality,
-    "n,a,|S|": _proj_drop_l,
-    "n,l,|S|": _proj_drop_a,
-    "n,a,l": _proj_drop_set,
-}
+def _cardinality_key(key):
+    n, a, l, S = key
+    return (n, a, l, S.bit_count())
 
 
 @dataclass
 class RepetitionReport:
     variant: str
-    projection_name: str
     total_keys: int
     groups: dict                  # projected key -> Counter(value -> multiplicity)
     single_valued_fraction: float
-    candidate_fractions: dict     # projection name -> fraction single-valued
-    collision_candidates: list    # names with fraction >= threshold
 
     def multi_valued_groups(self):
         return {k: c for k, c in self.groups.items() if len(c) > 1}
 
 
-def _group(data, proj):
-    """Cached values listed by projected key, and the fraction of groups
-    holding a single distinct value."""
-    groups = {}
-    for key, value in data.items():
-        groups.setdefault(proj(key), []).append(value)
-    single = sum(1 for values in groups.values() if len(set(values)) == 1)
-    return groups, single / len(groups)
-
-
-def cache_repetition_report(cache: MemoCache, group_by="n,a,l,|S|",
-                            candidates=None, threshold=0.99) -> RepetitionReport:
-    """Group cached values by a key projection and measure how often a group
-    holds a single distinct value. Projections where at least `threshold` of
-    groups are single-valued are collision candidates: the recursion likely
+def cache_repetition_report(cache: MemoCache,
+                            group_by=_cardinality_key) -> RepetitionReport:
+    """Group cached values by a key projection, (n, a, l, |S|) unless a
+    callable on (n, a, l, S) keys is given, and measure how often a group
+    holds a single distinct value: near 1 means the recursion likely
     depends only on the projected state."""
     if not cache.data:
         raise ValueError("cache is empty; run an enumeration through it first")
-    if callable(group_by):
-        proj, proj_name = group_by, getattr(group_by, "__name__", "custom")
-    else:
-        proj_name = group_by
-        proj = CANDIDATE_PROJECTIONS[group_by]
-    groups, fraction = _group(cache.data, proj)
-    groups = {k: Counter(values) for k, values in groups.items()}
-    cand = CANDIDATE_PROJECTIONS if candidates is None else candidates
-    fractions = {name: _group(cache.data, p)[1] for name, p in cand.items()}
-    return RepetitionReport(
-        variant=cache.variant,
-        projection_name=proj_name,
-        total_keys=len(cache.data),
-        groups=groups,
-        single_valued_fraction=fraction,
-        candidate_fractions=fractions,
-        collision_candidates=sorted(n for n, f in fractions.items() if f >= threshold),
-    )
+    groups = {}
+    for key, value in cache.data.items():
+        groups.setdefault(group_by(key), Counter())[value] += 1
+    single = sum(1 for values in groups.values() if len(values) == 1)
+    return RepetitionReport(variant=cache.variant, total_keys=len(cache.data),
+                            groups=groups,
+                            single_valued_fraction=single / len(groups))

@@ -83,11 +83,19 @@ def read_bfile(path, dps=DEFAULT_DPS) -> LoadedSeries:
                     f"parse error at line {lineno}: expected index {expected}, got {n}")
             if len(parts) < 2:
                 raise ValueError(f"parse error at line {lineno}: missing value")
-            if parts[1].startswith("~"):
-                digits = None
-                if len(parts) >= 3:
-                    digits = int(parts[2])
-                approx.append((n, mpf(parts[1][1:]), digits))
+            predicted = parts[1].startswith("~")
+            if len(parts) > (3 if predicted else 2):
+                raise ValueError(f"parse error at line {lineno}: trailing fields")
+            if predicted:
+                try:
+                    value = mpf(parts[1][1:])
+                    digits = int(parts[2]) if len(parts) == 3 else None
+                except ValueError:
+                    raise ValueError(
+                        f"parse error at line {lineno}: bad predicted value or digit count")
+                if not mpmath.isfinite(value):
+                    raise ValueError(f"parse error at line {lineno}: non-finite predicted value")
+                approx.append((n, value, digits))
             else:
                 if approx:
                     raise ValueError(

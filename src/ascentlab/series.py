@@ -19,49 +19,11 @@ DEFAULT_DPS = 60
 
 
 @dataclass
-class CoefficientSeries:
-    """Exact big-integer counts c_n for n = first_index, first_index+1, ..."""
+class _IndexedSeries:
+    """Values aligned with absolute indices first_index, first_index+1, ..."""
 
     values: list
     first_index: int = 1
-
-    def __post_init__(self):
-        self.values = [int(v) for v in self.values]
-
-    def __len__(self):
-        return len(self.values)
-
-    @property
-    def last_index(self):
-        return self.first_index + len(self.values) - 1
-
-    def indices(self):
-        return range(self.first_index, self.last_index + 1)
-
-    def at(self, n: int) -> int:
-        """Value at absolute index n."""
-        if not self.first_index <= n <= self.last_index:
-            raise IndexError(f"index {n} outside [{self.first_index}, {self.last_index}]")
-        return self.values[n - self.first_index]
-
-    def truncate(self, n: int) -> "CoefficientSeries":
-        """Prefix through absolute index n."""
-        if n < self.first_index:
-            raise IndexError(f"cannot truncate below first index {self.first_index}")
-        return CoefficientSeries(self.values[: n - self.first_index + 1], self.first_index)
-
-
-@dataclass
-class RealSeries:
-    """Arbitrary-precision real values aligned with absolute indices.
-
-    `dps` records the decimal precision the values were computed at; derived
-    series inherit the minimum precision of their inputs.
-    """
-
-    values: list
-    first_index: int = 1
-    dps: int = DEFAULT_DPS
 
     def __len__(self):
         return len(self.values)
@@ -74,13 +36,35 @@ class RealSeries:
         return range(self.first_index, self.last_index + 1)
 
     def at(self, n: int):
+        """Value at absolute index n."""
         if not self.first_index <= n <= self.last_index:
             raise IndexError(f"index {n} outside [{self.first_index}, {self.last_index}]")
         return self.values[n - self.first_index]
 
-    def tail(self, count: int) -> "RealSeries":
-        count = min(count, len(self.values))
-        return RealSeries(self.values[-count:], self.last_index - count + 1, self.dps)
+
+@dataclass
+class CoefficientSeries(_IndexedSeries):
+    """Exact big-integer counts c_n for n = first_index, first_index+1, ..."""
+
+    def __post_init__(self):
+        self.values = [int(v) for v in self.values]
+
+    def truncate(self, n: int) -> "CoefficientSeries":
+        """Prefix through absolute index n."""
+        if n < self.first_index:
+            raise IndexError(f"cannot truncate below first index {self.first_index}")
+        return CoefficientSeries(self.values[: n - self.first_index + 1], self.first_index)
+
+
+@dataclass
+class RealSeries(_IndexedSeries):
+    """Arbitrary-precision real values aligned with absolute indices.
+
+    `dps` records the decimal precision the values were computed at; derived
+    series inherit the minimum precision of their inputs.
+    """
+
+    dps: int = DEFAULT_DPS
 
 
 def working_dps(*series, dps=None):

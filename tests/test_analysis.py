@@ -233,6 +233,33 @@ def test_hadamard_quotient():
         an.hadamard_quotient(a, CoefficientSeries([1] * 3, first_index=30))
 
 
+QUOTIENTS = {"ratios": lambda a, b: an.ratios(a),
+             "egf_ratios": lambda a, b: an.egf_ratios(a),
+             "hadamard_quotient": an.hadamard_quotient}
+
+
+def _as_real(c, dps):
+    with mpmath.workdps(dps):
+        return RealSeries([mpf(v) for v in c.values], c.first_index, dps)
+
+
+@pytest.mark.parametrize("name", QUOTIENTS)
+def test_quotients_exact_and_real_inputs_agree(name):
+    transform, dps = QUOTIENTS[name], 60
+    # values far wider than dps digits, so the real inputs are rounded
+    a = CoefficientSeries([math.factorial(2 * k) + k for k in range(1, 40)])
+    b = CoefficientSeries([3 ** k - 1 for k in range(1, 40)])
+    exact = transform(a, b)
+    real = transform(_as_real(a, dps), _as_real(b, dps))
+    assert real.indices() == exact.indices() and real.dps == exact.dps == dps
+    tol = mpf(10) ** -(dps - 5)
+    assert all(abs(x - y) <= tol * abs(x) for x, y in zip(exact.values, real.values))
+    z = CoefficientSeries([5, 0, 7, 9])
+    for zz in (z, _as_real(z, dps)):
+        with pytest.raises(ValueError, match="zero divisor"):
+            transform(zz, zz)
+
+
 def test_reference_constants():
     c = an.reference_constants(60)
     assert str(c.growth_120)[:15] == "7.2958969432397"

@@ -19,7 +19,14 @@ mpmath.mp.dps = 60
 
 
 REF_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
-# `extend --predict 20` outputs on reference prefixes, pinned byte for byte.
+# Outputs pinned byte for byte, each written by the CLI from a prefix of a
+# reference series (`head -n N perfbench/ref/P.b > P.b`):
+#   extend_P_nN.b (+ .diag.json): `extend --input P.b --predict 20`;
+#   analyze_M_P_nN.csv (+ .summary.txt): `analyze --input P.b --model M`, with
+#   `--mu 7.2958969 --g 2` for the stretched model; the input of
+#   analyze_M_extend_000_n60.csv is the extended file extend_000_n60.b.
+# A deliberate regeneration (say, a new DA size cap that changes the extended
+# terms) rewrites these files and is logged in CHANGES.md.
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 # Terms per engine in test_cli_every_engine_matches_reference; each reference
 # series is cross-checked against the oracles when it is written. The layered
@@ -63,6 +70,13 @@ def test_bfile_parse_errors(tmp_path):
     p.write_text("1 ~2.0 3\n")
     with pytest.raises(ValueError, match="no exact"):
         aio.read_bfile(p)
+    # malformed predicted terms and trailing fields name their line too
+    for text, line in (("1 1\n2 ~abc 3\n", 2), ("1 1\n2 ~2.5 x\n", 2),
+                       ("1 1 junk\n", 1), ("1 1\n2 ~2.5 3 junk\n", 2),
+                       ("1 1\n2 ~nan 3\n", 2), ("1 1\n2 ~inf\n", 2)):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"^parse error at line {line}: "):
+            aio.read_bfile(p)
 
 
 def test_extended_bfile_roundtrip(tmp_path):
@@ -148,6 +162,28 @@ def test_cli_extend_matches_golden(tmp_path, pattern, n):
     assert out.read_bytes() == golden.read_bytes()
     assert (Path(f"{out}.diag.json").read_bytes()
             == Path(f"{golden}.diag.json").read_bytes())
+
+
+@pytest.mark.parametrize("model,source", [
+    ("power", "100_n40"), ("factorial-egf", "000_n40"), ("stretched", "120_n30"),
+    ("factorial-egf", "extend_000_n60"),  # real input with predicted terms
+])
+def test_cli_analyze_matches_golden(tmp_path, model, source):
+    extra = ("--mu", "7.2958969", "--g", "2") if model == "stretched" else ()
+    if source.startswith("extend_"):
+        src = GOLDEN_DIR / f"{source}.b"
+    else:
+        pattern, n = source.split("_n")
+        src = tmp_path / f"{pattern}.b"
+        src.write_bytes(b"".join((REF_DIR / f"{pattern}.b").read_bytes()
+                                 .splitlines(keepends=True)[:int(n)]))
+    out = tmp_path / "trace.csv"
+    assert run_cli("analyze", "--input", str(src), "--output", str(out),
+                   "--model", model, *extra) == 0
+    golden = GOLDEN_DIR / f"analyze_{model}_{source}.csv"
+    assert out.read_bytes() == golden.read_bytes()
+    assert (Path(f"{out}.summary.txt").read_bytes()
+            == Path(f"{golden}.summary.txt").read_bytes())
 
 
 def test_cli_enumerate_determinism(tmp_path):

@@ -17,6 +17,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 
+from .errors import InsufficientTermsError
 from .series import (CoefficientSeries, RealSeries, DEFAULT_DPS, to_mpf,
                      working_dps)
 
@@ -118,7 +119,7 @@ def _quotients(ns, nums, dens, exact, dps) -> RealSeries:
 def ratios(c, dps=None) -> RealSeries:
     """r_n = c_n / c_{n-1}; exact rational first when the input is exact."""
     if len(c) < 2:
-        raise ValueError("need at least two terms for ratios")
+        raise InsufficientTermsError("need at least two terms for ratios")
     return _quotients(c.indices()[1:], c.values[1:], c.values[:-1],
                       isinstance(c, CoefficientSeries), working_dps(c, dps=dps))
 
@@ -126,7 +127,7 @@ def ratios(c, dps=None) -> RealSeries:
 def egf_ratios(c, dps=None) -> RealSeries:
     """Exponential-generating-function ratios r_n = c_n / (n * c_{n-1})."""
     if len(c) < 2:
-        raise ValueError("need at least two terms for ratios")
+        raise InsufficientTermsError("need at least two terms for ratios")
     d = working_dps(c, dps=dps)
     ns = c.indices()[1:]
     with mpmath.workdps(d):  # real products round at the working precision
@@ -137,7 +138,7 @@ def egf_ratios(c, dps=None) -> RealSeries:
 def linear_intercepts(r: RealSeries) -> RealSeries:
     """l_n = n*r_n - (n-1)*r_{n-1}; cancels an additive c/n correction."""
     if len(r) < 2:
-        raise ValueError("need at least two terms")
+        raise InsufficientTermsError("need at least two terms")
     out = []
     with mpmath.workdps(r.dps):
         for n in range(r.first_index + 1, r.last_index + 1):
@@ -149,7 +150,7 @@ def quadratic_intercepts(l: RealSeries) -> RealSeries:
     """l2_n = (n^2*l_n - (n-1)^2*l_{n-1}) / (2n-1); cancels a pure c/n^2
     correction (applied after linear_intercepts the residual is O(1/n^3))."""
     if len(l) < 2:
-        raise ValueError("need at least two terms")
+        raise InsufficientTermsError("need at least two terms")
     out = []
     with mpmath.workdps(l.dps):
         for n in range(l.first_index + 1, l.last_index + 1):
@@ -199,7 +200,7 @@ def sigma_estimator_ratio(r: RealSeries) -> EstimatorTrace:
     """log|r_n/r_{n-1} - 1| against log n; local gradients tend to sigma - 2.
     Ratios fall under pure power-law growth, so only exact zeros are skipped."""
     if len(r) < 3:
-        raise ValueError("need at least three ratio terms")
+        raise InsufficientTermsError("need at least three ratio terms")
     ns, raw = [], []
     with mpmath.workdps(r.dps):
         for n in range(r.first_index + 1, r.last_index + 1):
@@ -214,7 +215,7 @@ def sigma_estimator_root(c, dps=None) -> EstimatorTrace:
     d = working_dps(c, dps=dps)
     ns, vals = _values_with_indices(c)
     if len(vals) < 3:
-        raise ValueError("need at least three terms")
+        raise InsufficientTermsError("need at least three terms")
     out_ns, raw = [], []
     with mpmath.workdps(d):
         logs = [mpmath.log(mpf(v)) if not isinstance(v, mpf) else mpmath.log(v)
@@ -356,10 +357,9 @@ def fit_stirling_log(c, m, dps=None) -> LinearFitWindow:
         return _solve_window(rows, rhs, m, "m")
 
 
-def fit_stirling_log_sweep(c, ms=None, dps=None):
-    if ms is None:
-        ms = range(c.first_index + 3, c.last_index)
-    return [fit_stirling_log(c, m, dps=dps) for m in ms]
+def fit_stirling_log_sweep(c, dps=None):
+    return [fit_stirling_log(c, m, dps=dps)
+            for m in range(c.first_index + 3, c.last_index)]
 
 
 @dataclass
@@ -375,7 +375,7 @@ def factorial_ratio_transforms(c, dps=None) -> FactorialRatioTraces:
     t_n = (n^2 s_n - (n-1)^2 s_{n-1})/(2n-1) ~ 1 + alpha/(2n);
     the gradient of t against 1/n therefore estimates alpha/2."""
     if len(c) < 4:
-        raise ValueError("need at least four terms")
+        raise InsufficientTermsError("need at least four terms")
     r = ratios(c, dps=dps)
     s = ratios(r)
     t = quadratic_intercepts(s)
@@ -401,7 +401,7 @@ def hadamard_quotient(a, b, dps=None) -> RealSeries:
 def synth_series(params, n_terms, dps=DEFAULT_DPS) -> RealSeries:
     """Exact-model series used as ground truth in estimator-recovery tests."""
     if n_terms < 4:
-        raise ValueError("need at least four terms")
+        raise InsufficientTermsError("need at least four terms")
     out = []
     with mpmath.workdps(dps):
         if isinstance(params, StretchedFitParams):
@@ -469,7 +469,7 @@ def extrapolate_intercept(series, power=1.0, depth=3, name="trace") -> Intercept
         ns, vals = [n for n, _ in series], [v for _, v in series]
         dps = DEFAULT_DPS
     if not ns:
-        raise ValueError(f"empty trace {name}")
+        raise InsufficientTermsError(f"empty trace {name}")
     depth = min(depth, len(ns))
     with mpmath.workdps(dps):
         xs = [mpf(n) ** mpf(-power) for n in ns[-depth:]]

@@ -10,12 +10,14 @@ Fitting is fraction-free integer elimination (Bareiss), which yields the same
 exact rationals as elimination over fractions; root finding and prediction
 run at the working precision. Matching the first N coefficients
 (N = L + sum(N_k + 1)) consumes N equations; one coefficient of Q_M is pinned
-to 1 to fix the scale.
+to 1 to fix the scale. The coefficients are those of the series with its
+length-0 term `series.LENGTH_ZERO_COUNT` prepended as z^0.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,7 +26,11 @@ from mpmath import mpf
 
 from .errors import (AllFitsFailedError, InsufficientTermsError,
                      RankDeficientError, VanishingMultiplierError)
-from .series import CoefficientSeries, RealSeries, DEFAULT_DPS
+from .series import CoefficientSeries, RealSeries, DEFAULT_DPS, LENGTH_ZERO_COUNT
+
+# Ensemble values more than this many median absolute deviations from the
+# per-index median are excluded as outliers.
+MAD_MULTIPLIER = 3
 
 
 @dataclass(frozen=True)
@@ -71,21 +77,12 @@ class DifferentialApproximant:
     qs: list                 # qs[k][j] = Fraction coefficient of z^j in Q_k
     p: list                  # Fraction coefficients of P (empty when L = -1)
     config: DAConfig
-    constant_term: int = 1
     deficiency: int = 0      # free unknowns pinned to zero during the solve
     pinned: str = "q_M_constant"
 
     @property
     def order(self):
         return len(self.qs) - 1
-
-    def recurrence_row(self, m):
-        """Multipliers (A(m), [(j, T_j(m))...]) of the z^m matching equation:
-        A(m)*c_m + sum_j T_j(m)*c_{m-j} = p_m where T_j(m) = sum_k q_kj (m-j)^k.
-
-        Each multiplier is one reduced Fraction over the common denominator
-        of qs, taken afresh on every call so that edited qs are honoured."""
-        return _recurrence_row(*_integer_qs(self.qs), m)
 
 
 def _integer_qs(qs):
@@ -96,7 +93,11 @@ def _integer_qs(qs):
 
 
 def _recurrence_row(den, nums, m):
-    """`DifferentialApproximant.recurrence_row` from `_integer_qs` output."""
+    """Multipliers (A(m), [(j, T_j(m))...]) of the z^m matching equation:
+    A(m)*c_m + sum_j T_j(m)*c_{m-j} = p_m where T_j(m) = sum_k q_kj (m-j)^k.
+
+    `den` and `nums` come from `_integer_qs`; each multiplier is one reduced
+    Fraction over that common denominator."""
     def multiplier(j):
         return Fraction(sum(q[j] * (m - j) ** k
                             for k, q in enumerate(nums) if j < len(q)), den)
@@ -105,10 +106,10 @@ def _recurrence_row(den, nums, m):
     return multiplier(0), [(j, multiplier(j)) for j in range(1, maxdeg + 1)]
 
 
-def _full_coefficients(c: CoefficientSeries, constant_term):
+def _full_coefficients(c: CoefficientSeries):
     if c.first_index != 1:
-        raise ValueError("series must start at index 1; pass the constant separately")
-    return [constant_term] + list(c.values)
+        raise ValueError("series must start at index 1; the length-0 term is implied")
+    return [LENGTH_ZERO_COUNT] + list(c.values)
 
 
 def _solve_rational(rows, rhs):
@@ -166,7 +167,7 @@ def _solve_rational(rows, rhs):
     return sol, ncols - len(pivots)
 
 
-def fit_da(c: CoefficientSeries, cfg: DAConfig, constant_term=1) -> DifferentialApproximant:
+def fit_da(c: CoefficientSeries, cfg: DAConfig) -> DifferentialApproximant:
     """Fit the ODE by exact fraction-free integer elimination.
 
     The constant coefficient of Q_M is pinned to 1; if that makes the system
@@ -174,7 +175,7 @@ def fit_da(c: CoefficientSeries, cfg: DAConfig, constant_term=1) -> Differential
     Consistent rank-deficient systems succeed with free unknowns set to zero
     (the deficiency is recorded); only inconsistency raises.
     """
-    coeffs = _full_coefficients(c, constant_term)
+    coeffs = _full_coefficients(c)
     n_eq = cfg.matched_terms
     if n_eq < 1:
         raise ValueError("configuration matches no coefficients")
@@ -191,35 +192,25 @@ def fit_da(c: CoefficientSeries, cfg: DAConfig, constant_term=1) -> Differential
         pos += d + 1
     p_off = pos
     n_unknown = pos + (L + 1)
-
-    def build(pin_index):
-        rows, rhs = [], []
-        for m in range(n_eq):
-            row = [0] * n_unknown
-            b = 0
-            for k in range(M + 1):
-                for j in range(min(cfg.degrees[k], m) + 1):
-                    val = (m - j) ** k * coeffs[m - j]
-                    col = offsets[k] + j
-                    if col == pin_index:
-                        b -= val
-                    else:
-                        row[col] = val
-            if 0 <= m <= L:
-                row[p_off + m] = -1
-            rows.append(row)
-            rhs.append(b)
-        # drop the pinned column
-        rows = [r[:pin_index] + r[pin_index + 1:] for r in rows]
-        return rows, rhs
+    rows = []
+    for m in range(n_eq):
+        row = [0] * n_unknown
+        for k in range(M + 1):
+            for j in range(min(cfg.degrees[k], m) + 1):
+                row[offsets[k] + j] = (m - j) ** k * coeffs[m - j]
+        if m <= L:
+            row[p_off + m] = -1
+        rows.append(row)
 
     pin_const = offsets[M]
     pin_high = offsets[M] + cfg.degrees[M]
     for pin_index, pin_name in ((pin_const, "q_M_constant"),
                                 (pin_high, "q_M_leading")):
         try:
-            rows, rhs = build(pin_index)
-            sol, deficiency = _solve_rational(rows, rhs)
+            # the pinned unknown is 1: its column moves to the right-hand side
+            sol, deficiency = _solve_rational(
+                [r[:pin_index] + r[pin_index + 1:] for r in rows],
+                [-r[pin_index] for r in rows])
         except RankDeficientError:
             if pin_index == pin_high:
                 raise
@@ -231,7 +222,6 @@ def fit_da(c: CoefficientSeries, cfg: DAConfig, constant_term=1) -> Differential
             raise RankDeficientError("fitted Q_M is identically zero",
                                      deficiency=deficiency)
         return DifferentialApproximant(qs=qs, p=p, config=cfg,
-                                       constant_term=constant_term,
                                        deficiency=deficiency, pinned=pin_name)
     raise RankDeficientError("no consistent normalization", deficiency=None)
 
@@ -239,11 +229,12 @@ def fit_da(c: CoefficientSeries, cfg: DAConfig, constant_term=1) -> Differential
 def fit_defects(da: DifferentialApproximant, c: CoefficientSeries) -> list:
     """Exact defects of the matching equations on the first N coefficients;
     all zero for a faithful fit."""
-    coeffs = _full_coefficients(c, da.constant_term)
+    coeffs = _full_coefficients(c)
+    den, nums = _integer_qs(da.qs)
     out = []
     L = da.config.inhomog_degree
     for m in range(da.config.matched_terms):
-        a, others = da.recurrence_row(m)
+        a, others = _recurrence_row(den, nums, m)
         total = a * coeffs[m]
         for j, t in others:
             if 0 <= m - j:
@@ -254,9 +245,12 @@ def fit_defects(da: DifferentialApproximant, c: CoefficientSeries) -> list:
 
 
 def _extend_values(da, coeffs, count, exact, dps):
-    """Continue the sequence `coeffs` by `count` values using the recurrence."""
+    """Continue the sequence `coeffs` by `count` values using the recurrence:
+    exact Fractions, or mpf values at `dps` with each Fraction multiplier
+    rounded as numerator / denominator."""
     L = da.config.inhomog_degree
     den, nums = _integer_qs(da.qs)
+    conv = Fraction if exact else (lambda q: mpf(q.numerator) / mpf(q.denominator))
     known = list(coeffs)
     out = []
     start = len(known)
@@ -266,21 +260,11 @@ def _extend_values(da, coeffs, count, exact, dps):
             if a == 0:
                 raise VanishingMultiplierError(
                     f"recurrence multiplier vanishes at index {m}", m, out)
-            total = Fraction(da.p[m]) if 0 <= m <= L else Fraction(0)
-            if exact:
-                for j, t in others:
-                    if m - j >= 0:
-                        total -= t * Fraction(known[m - j])
-                val = total / a
-            else:
-                acc = mpf(total.numerator) / mpf(total.denominator)
-                for j, t in others:
-                    if m - j >= 0 and t != 0:
-                        prev = known[m - j]
-                        if isinstance(prev, Fraction):
-                            prev = mpf(prev.numerator) / mpf(prev.denominator)
-                        acc -= (mpf(t.numerator) / mpf(t.denominator)) * prev
-                val = acc / (mpf(a.numerator) / mpf(a.denominator))
+            acc = conv(da.p[m] if 0 <= m <= L else 0)
+            for j, t in others:
+                if m - j >= 0 and t != 0:
+                    acc -= conv(t) * known[m - j]
+            val = acc / conv(a)
             known.append(val)
             out.append(val)
     return out
@@ -289,7 +273,7 @@ def _extend_values(da, coeffs, count, exact, dps):
 def recurrence_extend(da: DifferentialApproximant, c: CoefficientSeries,
                       count: int, dps=DEFAULT_DPS) -> RealSeries:
     """Predict `count` coefficients beyond the series at working precision."""
-    coeffs = _full_coefficients(c, da.constant_term)
+    coeffs = _full_coefficients(c)
     vals = _extend_values(da, coeffs, count, exact=False, dps=dps)
     return RealSeries(vals, first_index=c.last_index + 1, dps=dps)
 
@@ -297,7 +281,7 @@ def recurrence_extend(da: DifferentialApproximant, c: CoefficientSeries,
 def recurrence_extend_exact(da: DifferentialApproximant, c: CoefficientSeries,
                             count: int) -> list:
     """Exact rational continuation (Fractions)."""
-    coeffs = _full_coefficients(c, da.constant_term)
+    coeffs = _full_coefficients(c)
     return _extend_values(da, coeffs, count, exact=True, dps=DEFAULT_DPS)
 
 
@@ -320,13 +304,13 @@ def _polyval(coeffs, z):
     return acc
 
 
-def singularities(da: DifferentialApproximant, dps=DEFAULT_DPS,
-                  root_tol_digits=None) -> list:
+def singularities(da: DifferentialApproximant, dps=DEFAULT_DPS) -> list:
     """Roots of Q_M with local exponents from the indicial equation.
 
     Exponents follow the F ~ C*(1 - z/z_c)^(-gamma) convention: a simple pole
     reports gamma = 1, a square-root branch point gamma = -1/2. Roots at the
-    origin and non-simple roots carry the multiplicity flag and no exponent.
+    origin and non-simple roots carry the multiplicity flag and no exponent;
+    roots are told apart to dps // 2 digits.
     """
     M = da.order
     scale = max(abs(v) for poly in (da.qs[M], da.qs[M - 1]) for v in poly)
@@ -335,10 +319,8 @@ def singularities(da: DifferentialApproximant, dps=DEFAULT_DPS,
         qm.pop()
     if len(qm) <= 1:
         return []
-    if root_tol_digits is None:
-        root_tol_digits = dps // 2
     with mpmath.workdps(dps):
-        tol = mpf(10) ** (-root_tol_digits)
+        tol = mpf(10) ** (-(dps // 2))
         coeffs_desc = list(reversed(qm))
         roots = mpmath.polyroots(coeffs_desc, maxsteps=200, extraprec=4 * dps)
         qm1 = _poly_mpf(da.qs[M - 1], dps, scale=scale)
@@ -357,11 +339,11 @@ def singularities(da: DifferentialApproximant, dps=DEFAULT_DPS,
                 continue
             gamma = 1 - M + _polyval(qm1, z) / (z * dval)
             reports.append(SingularityReport(z, gamma, False, resid))
-        reports.sort(key=lambda r: (abs(r.location), r.location.real if hasattr(r.location, 'real') else 0))
+        reports.sort(key=lambda r: (abs(r.location), r.location.real))
         return reports
 
 
-def default_ensemble(budget, orders=(1, 2, 3), inhomog=(-1, 0, 1)) -> list:
+def default_ensemble(budget, orders=(1, 2, 3)) -> list:
     """Near-balanced degree vectors consuming most of `budget` coefficients.
 
     For each order and inhomogeneous degree the base vector is balanced; a
@@ -369,7 +351,7 @@ def default_ensemble(budget, orders=(1, 2, 3), inhomog=(-1, 0, 1)) -> list:
     """
     out = []
     for M in orders:
-        for L in inhomog:
+        for L in (-1, 0, 1):
             base = (budget - L) // (M + 1) - 1
             if base < 2:
                 continue
@@ -415,17 +397,17 @@ def _common_digits(lo, hi, cap):
     return min(n, cap)
 
 
-def predict_ensemble(c: CoefficientSeries, cfgs, count, constant_term=1,
-                     dps=DEFAULT_DPS, mad_multiplier=3) -> PredictionResult:
+def predict_ensemble(c: CoefficientSeries, cfgs, count,
+                     dps=DEFAULT_DPS) -> PredictionResult:
     """Extend the series with every approximant that fits, then aggregate
-    per index: values beyond `mad_multiplier` median absolute deviations from
+    per index: values beyond MAD_MULTIPLIER median absolute deviations from
     the median are excluded, the mean of the rest is reported together with
     the shared-leading-digits count and the standard deviation."""
     cfgs = sorted(cfgs, key=DAConfig.sort_key)
     fits, failures = [], []
     for cfg in cfgs:
         try:
-            da = fit_da(c, cfg, constant_term=constant_term)
+            da = fit_da(c, cfg)
             ext = recurrence_extend(da, c, count, dps=dps)
             fits.append((cfg, ext.values))
         except (RankDeficientError, InsufficientTermsError,
@@ -439,16 +421,11 @@ def predict_ensemble(c: CoefficientSeries, cfgs, count, constant_term=1,
     with mpmath.workdps(dps):
         for i in range(count):
             vals = [(cfg, v[i]) for cfg, v in fits]
-            ordered = sorted(v for _, v in vals)
-            mid = len(ordered) // 2
-            med = (ordered[mid] if len(ordered) % 2
-                   else (ordered[mid - 1] + ordered[mid]) / 2)
-            devs = sorted(abs(v - med) for _, v in vals)
-            mad = (devs[len(devs) // 2] if len(devs) % 2
-                   else (devs[len(devs) // 2 - 1] + devs[len(devs) // 2]) / 2)
+            med = statistics.median(v for _, v in vals)
+            mad = statistics.median(abs(v - med) for _, v in vals)
             kept = []
             for cfg, v in vals:
-                off = (abs(v - med) > mad_multiplier * mad if mad > 0
+                off = (abs(v - med) > MAD_MULTIPLIER * mad if mad > 0
                        else v != med)
                 if off:
                     excluded.append((c.last_index + 1 + i, cfg, v))

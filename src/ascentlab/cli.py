@@ -102,6 +102,13 @@ def _analyze_factorial(real, dps):
 def cmd_analyze(args):
     if args.model not in MODELS:
         return _fail("usage", f"model must be one of {MODELS}", 2)
+    if args.mu is not None and not args.mu > 0:
+        return _fail("usage", "mu must be positive", 2)
+    if not 0 < args.sigma < 1:
+        return _fail("usage", "sigma must lie strictly between 0 and 1", 2)
+    if args.model == "stretched" and args.mu is not None and args.sigma == 0.5:
+        return _fail("usage", "sigma 0.5 with --mu makes the ratio fit singular: "
+                     "its terms n^(2*sigma-2) and 1/n coincide", 2)
     dps = args.precision
     try:
         loaded = aio.read_bfile(args.input, dps=dps)
@@ -125,8 +132,10 @@ def cmd_analyze(args):
             cols, traces = _analyze_factorial(real, dps)
         summaries = [an.extrapolate_intercept(trace, power=power, depth=3, name=name)
                      for name, trace, power in traces]
-    except ValueError as exc:
+    except InsufficientTermsError as exc:
         return _fail("insufficient-terms", str(exc))
+    except ValueError as exc:
+        return _fail("analysis-failed", str(exc))
     aio.write_trace_csv(args.output, cols, assumptions=assumptions, dps=dps)
     aio.write_intercept_summary(args.output + ".summary.txt", summaries,
                                 assumptions=assumptions, dps=dps)
@@ -134,6 +143,8 @@ def cmd_analyze(args):
 
 
 def cmd_extend(args):
+    if args.predict < 1:
+        return _fail("usage", "predict must be at least 1", 2)
     dps = args.precision
     try:
         loaded = aio.read_bfile(args.input, dps=dps)
@@ -143,13 +154,15 @@ def cmd_extend(args):
     if args.order is not None or args.degrees is not None:
         if args.order is None or args.degrees is None:
             return _fail("usage", "--order and --degrees go together", 2)
-        degrees = tuple(int(v) for v in args.degrees.split(","))
         try:
-            cfgs = [ap.DAConfig(order=args.order, degrees=degrees,
-                                inhomog_degree=0)]
+            d = tuple(int(v) for v in args.degrees.split(","))
+            # the shape, and Q_0 or Q_M one degree lower, at L = -1, 0 and 1
+            lower = [(d[0] - 1, *d[1:]), (*d[:-1], d[-1] - 1)]
+            cfgs = [ap.DAConfig(order=args.order, degrees=s, inhomog_degree=L)
+                    for s in [d] + [v for v in lower if min(v) >= 0]
+                    for L in (-1, 0, 1)]
         except ValueError as exc:
             return _fail("usage", str(exc), 2)
-        cfgs = cfgs * 3  # ensemble aggregation needs >= 3 fits
     else:
         budget = min(loaded.n_exact, 44)
         cfgs = ap.default_ensemble(budget)
@@ -243,8 +256,11 @@ def build_parser():
     px.add_argument("--input", required=True)
     px.add_argument("--output", required=True)
     px.add_argument("--predict", type=int, required=True)
-    px.add_argument("--order", type=int)
-    px.add_argument("--degrees")
+    px.add_argument("--order", type=int,
+                    help="fit this order with --degrees, and with Q_0 or Q_M "
+                    "one degree lower, each at inhomogeneous degrees -1, 0 "
+                    "and 1, instead of the default ensemble")
+    px.add_argument("--degrees", help="degrees of Q_0..Q_M, comma-separated")
     px.add_argument("--precision", type=int, default=DEFAULT_DPS)
     px.set_defaults(func=cmd_extend)
 
@@ -258,7 +274,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if getattr(args, "precision", None) is not None and args.command in ("analyze", "extend"):
+    if getattr(args, "precision", None) is not None:
         if args.precision < 30:
             print("error: usage: precision must be at least 30", file=sys.stderr)
             return 2

@@ -29,14 +29,13 @@ value erasures can drive either to -1, which needs no special handling.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import check_cap
 from .series import CoefficientSeries
 
 CAP_000_EXPONENTIAL = 30
@@ -274,16 +273,6 @@ _RULES = {"000": _rule_000, "110": _rule_110, "120": _rule_120}
 _SET_CAPS = {"000": CAP_000_EXPONENTIAL, "110": CAP_110, "120": CAP_120}
 
 
-def _check_cap(variant, n_terms, allow_over_cap):
-    cap = _SET_CAPS[variant]
-    if n_terms > cap:
-        if not allow_over_cap:
-            raise CapExceededError(
-                f"{variant} set-state enumeration capped at {cap} terms "
-                f"(requested {n_terms}); pass allow_over_cap=True to proceed")
-        warnings.warn(f"{variant} run of {n_terms} terms exceeds cap {cap}")
-
-
 def _merge(keys, weights):
     """Replace the key and weight chunks in the two lists by one chunk: the
     distinct keys in order and the summed weight of each."""
@@ -345,6 +334,8 @@ def _forward_series(variant, n_terms):
     and an object array of exact weights, stepped by `_sweep_step`. Every
     state has a+2 children, so the last count is the sum of w * (a+2) over
     the layer before it, and the largest layer is never built."""
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
     _pack(0, n_terms - 1, n_terms)  # deepest states: a <= n-1, l <= a+1 <= n
     rule = _RULES[variant]
     keys = np.array([_pack(1, 0, 0)], dtype=np.uint64)
@@ -388,8 +379,12 @@ def suffix_count(variant, n, a, l, S, cache=None):
     variant's rule, the one the forward sweep runs, one letter at a time;
     the cache holds them unpacked, keyed by (n, a, l, S) with S a Python
     int. A state whose descendants would not fit the key fields raises
-    ValueError.
+    ValueError, and so does n < 0. The recursion is n frames deep, and the
+    key-field guard below (a + n - 1 <= _FIELD_TOP = 253, a >= -2) keeps
+    n <= 256, far below the interpreter's recursion limit.
     """
+    if n < 0:
+        raise ValueError(f"suffix length must be >= 0, got {n}")
     if not isinstance(S, int):
         S = bitset(S)
     if cache is None:
@@ -398,46 +393,34 @@ def suffix_count(variant, n, a, l, S, cache=None):
         raise ValueError(f"cache belongs to variant {cache.variant!r}")
     rule = _RULES[variant]
     data = cache.data
-    root = (n, a, l, S)
     if n == 0:
         return 1
     _pack(S, a + n - 1, l)  # the states recursed into reach a, l <= a + n - 1
-    # entries (key, packed key, child keys once expanded)
-    stack = [(root, _pack(S, a, l), None)]
-    while stack:
-        key, packed, kids = stack[-1]
-        if kids is None and key in data:
+
+    def count(key, packed):
+        if key in data:
             cache.hits += 1
-            stack.pop()
-            continue
+            return data[key]
         kn = key[0]
         if kn == 1:
             total = packed >> 8 & 0xFF  # a+2 children, each a base case
         else:
-            if kids is None:
-                kids, s = [], 0
-                for i in range(packed >> 8 & 0xFF):
-                    nk = rule(packed, i, s)
-                    kids.append(((kn - 1, *_unpack(nk)), nk))
-                    s = _next_s(key[3], i, s)
-                missing = [(ck, nk, None) for ck, nk in kids if ck not in data]
-                cache.hits += len(kids) - len(missing)
-                if missing:
-                    stack[-1] = (key, packed, kids)
-                    stack.extend(missing)
-                    continue
-            total = sum(data[ck] for ck, _ in kids)
+            total, s = 0, 0
+            for i in range(packed >> 8 & 0xFF):
+                nk = rule(packed, i, s)
+                total += count((kn - 1, *_unpack(nk)), nk)
+                s = _next_s(key[3], i, s)
         cache.misses += 1
         data[key] = total
-        stack.pop()
-    return data[root]
+        return total
+
+    return count((n, a, l, S), _pack(S, a, l))
 
 
-def enumerate_with_cache(variant, n_terms, cache=None):
+def enumerate_with_cache(variant, n_terms):
     """Series of avoider counts computed through the memoized recursion,
     returning the populated cache for repetition analysis."""
-    if cache is None:
-        cache = MemoCache(variant)
+    cache = MemoCache(variant)
     values = [suffix_count(variant, n - 1, 0, 0, 1, cache=cache)
               for n in range(1, n_terms + 1)]
     return CoefficientSeries(values, first_index=1), cache
@@ -445,19 +428,19 @@ def enumerate_with_cache(variant, n_terms, cache=None):
 
 def enumerate_000_exponential(n_terms, allow_over_cap=False) -> CoefficientSeries:
     """000-avoider counts via the bit-set recursion (states O(n^3 2^n))."""
-    _check_cap("000", n_terms, allow_over_cap)
+    check_cap("000 set-state run", n_terms, _SET_CAPS["000"], allow_over_cap)
     return _forward_series("000", n_terms)
 
 
 def enumerate_110(n_terms, allow_over_cap=False) -> CoefficientSeries:
     """110-avoider counts; repeats erase every smaller value."""
-    _check_cap("110", n_terms, allow_over_cap)
+    check_cap("110 set-state run", n_terms, _SET_CAPS["110"], allow_over_cap)
     return _forward_series("110", n_terms)
 
 
 def enumerate_120(n_terms, allow_over_cap=False) -> CoefficientSeries:
     """120-avoider counts; states O(n^3 2^(n/2)) since ascents accrue half-rate."""
-    _check_cap("120", n_terms, allow_over_cap)
+    check_cap("120 set-state run", n_terms, _SET_CAPS["120"], allow_over_cap)
     return _forward_series("120", n_terms)
 
 

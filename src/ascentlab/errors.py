@@ -1,8 +1,21 @@
-"""Shared exception types."""
+"""Shared exception types and the cap check that raises one of them."""
+
+import warnings
 
 
 class CapExceededError(ValueError):
     """A term count exceeded its configured feasibility cap and no override was given."""
+
+
+def check_cap(what, n_terms, cap, allow_over_cap):
+    """Raise CapExceededError when n_terms exceeds cap; with allow_over_cap
+    the run proceeds under a warning instead."""
+    if n_terms > cap:
+        if not allow_over_cap:
+            raise CapExceededError(
+                f"{what} capped at {cap} terms (requested {n_terms}); "
+                "pass allow_over_cap=True to proceed")
+        warnings.warn(f"{what} of {n_terms} terms exceeds cap {cap}")
 
 
 class RankDeficientError(ValueError):

@@ -9,10 +9,9 @@ relative order, equalities included.
 
 from __future__ import annotations
 
-import warnings
 from itertools import combinations
 
-from .errors import CapExceededError
+from .errors import check_cap
 from .series import CoefficientSeries
 
 ORACLE_CAP = 15
@@ -46,18 +45,13 @@ def is_weak_ascent_sequence(seq) -> bool:
 
 
 def parse_pattern(text) -> tuple:
+    """Pattern from digits or letters; its letters must form 0..r."""
     if isinstance(text, str):
         if not text.isdigit():
             raise ValueError(f"pattern {text!r} is not a string of digits")
         pattern = tuple(int(ch) for ch in text)
     else:
         pattern = tuple(int(v) for v in text)
-    validate_pattern(pattern)
-    return pattern
-
-
-def validate_pattern(pattern):
-    """Letters must form a contiguous value set starting at 0."""
     if any(v < 0 for v in pattern):
         raise ValueError("pattern letters must be non-negative")
     distinct = sorted(set(pattern))
@@ -236,7 +230,7 @@ class _BlockedLetters(dict):
         return blocked
 
 
-def brute_force_avoiders(pattern, n_terms, weak=False, oracle_cap=ORACLE_CAP,
+def brute_force_avoiders(pattern, n_terms, weak=False,
                          allow_over_cap=False) -> CoefficientSeries:
     """Exhaustive counts of pattern-avoiding (weak) ascent sequences of
     lengths 1..n_terms.
@@ -247,16 +241,13 @@ def brute_force_avoiders(pattern, n_terms, weak=False, oracle_cap=ORACLE_CAP,
     extensions, so no avoider is lost. Length-3 patterns run a bit-set DFS
     (`_count_avoiders_3`, `_count_weak_avoiders_3`); other lengths re-test
     each extension with `contains_pattern`. Shares no code with `dp`.
+    Runs past ORACLE_CAP terms raise CapExceededError unless
+    allow_over_cap, which warns instead.
     """
     pattern = parse_pattern(pattern)
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    if n_terms > oracle_cap:
-        if not allow_over_cap:
-            raise CapExceededError(
-                f"oracle cap is {oracle_cap} terms (requested {n_terms}); "
-                "pass allow_over_cap=True to proceed")
-        warnings.warn(f"oracle run of {n_terms} terms exceeds cap {oracle_cap}")
+    check_cap("oracle run", n_terms, ORACLE_CAP, allow_over_cap)
     if len(pattern) == 3:
         counts = (_count_weak_avoiders_3(pattern, n_terms) if weak
                   else _count_avoiders_3(pattern, n_terms))

@@ -18,13 +18,14 @@ class CheckResult:
 
 
 MAX_N_RANGE = range(4, 15)
+CACHE_TERMS = 12  # terms of the memoized 000 and 110 runs of the cache checks
 
 
 def _catalan(n):
     return math.comb(2 * n, n) // (n + 1)
 
 
-def run_checks(max_n=10, cache_terms=12) -> list:
+def run_checks(max_n=10) -> list:
     """Run the suite; max_n bounds the exhaustive enumerations. A max_n
     outside MAX_N_RANGE (4..14) raises ValueError instead of being clamped."""
     if max_n not in MAX_N_RANGE:
@@ -106,11 +107,11 @@ def run_checks(max_n=10, cache_terms=12) -> list:
                 for m in range(1, max_n) for n in range(1, max_n - m + 1))
     check("supermultiplicativity-120", ok_sm)
 
-    _, cache000 = dp.enumerate_with_cache("000", cache_terms)
+    _, cache000 = dp.enumerate_with_cache("000", CACHE_TERMS)
     rep = dp.cache_repetition_report(cache000)
-    ok_pairs, n_pairs = bijection_lemma_pairs_equal(cache000, min(cache_terms, 14))
+    ok_pairs, n_pairs = bijection_lemma_pairs_equal(cache000, CACHE_TERMS)
     check("bijection-lemma-pairs", ok_pairs, f"{n_pairs} pairs checked")
-    _, cache110 = dp.enumerate_with_cache("110", cache_terms)
+    _, cache110 = dp.enumerate_with_cache("110", CACHE_TERMS)
     rep110 = dp.cache_repetition_report(cache110)
     check("cache-repetition-ordering",
           rep110.single_valued_fraction < rep.single_valued_fraction,
@@ -136,12 +137,11 @@ def bijection_lemma_pairs_equal(cache, n_max):
     return True, checked
 
 
-def compare_series_file(loaded, pattern, algorithm="dp"):
-    """Recompute the exact prefix of a series file; return the first
-    mismatching index or None."""
+def compare_series_file(loaded, pattern):
+    """Recompute the exact prefix of a series file with the pattern's "dp"
+    engine; return the first mismatching index or None."""
     n = loaded.n_exact
-    computed = dp.enumerate_avoiders(pattern, n, algorithm=algorithm,
-                                     allow_over_cap=True)
+    computed = dp.enumerate_avoiders(pattern, n, allow_over_cap=True)
     for k in range(1, n + 1):
         if computed.at(k) != loaded.exact.at(k):
             return k

@@ -272,6 +272,19 @@ def test_pack_limits():
     assert dp.suffix_count("110", 2, 252, 0, 1) == 254 + 253 * 255
 
 
+def test_length_guards():
+    # every engine and the oracle reject an empty run instead of returning [1]
+    for pattern, algo in dp.ENGINES:
+        with pytest.raises(ValueError, match="n_terms must be >= 1"):
+            dp.enumerate_avoiders(pattern, 0, algorithm=algo)
+    with pytest.raises(ValueError, match="n_terms must be >= 1"):
+        sq.brute_force_avoiders("120", 0)
+    # a negative suffix length raises before any work
+    for variant in ("000", "110", "120"):
+        with pytest.raises(ValueError, match="suffix length"):
+            dp.suffix_count(variant, -1, 0, 0, 1)
+
+
 def test_sweep_rejects_unpackable_runs(monkeypatch):
     def no_sweep(key, i, s):
         raise AssertionError("sweep started")

@@ -4,6 +4,7 @@ byte-level determinism."""
 import json
 import math
 import os
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import mpmath
@@ -274,6 +275,44 @@ def test_cli_extend_geometric_exact(tmp_path):
         assert abs(v - 2 ** n) / 2 ** n < mpf(10) ** -30
 
 
+def test_cli_extend_explicit_shape_claims_hold(tmp_path):
+    # --order/--degrees fit an ensemble of distinct approximants, so each
+    # claimed digit count is measured agreement; checked against the true
+    # terms 31..40 with the rule of perfbench's extension check: within one
+    # unit of the last claimed digit
+    ref = (REF_DIR / "120.b").read_bytes().splitlines(keepends=True)
+    src = tmp_path / "120.b"
+    src.write_bytes(b"".join(ref[:30]))
+    out = tmp_path / "ext.b"
+    assert run_cli("extend", "--input", str(src), "--output", str(out),
+                   "--predict", str(len(ref) - 30),
+                   "--order", "2", "--degrees", "6,6,6") == 0
+    diag = json.loads(Path(f"{out}.diag.json").read_text())
+    assert len(diag["configs"]) == 9
+    for line in out.read_text().splitlines()[30:]:
+        n, value, digits = line.split()
+        true = int(ref[int(n) - 1].split()[1])
+        assert 1 <= int(digits) < 55, line
+        with localcontext() as ctx:
+            ctx.prec = len(str(true)) + 10
+            err = abs(Decimal(value[1:]) - true)
+            assert err <= Decimal(10) ** (len(str(true)) - int(digits)), line
+
+
+def test_cli_analyze_error_prefixes(tmp_path, capsys):
+    # a zero term is not a shortage of terms; two terms are
+    out = tmp_path / "out.csv"
+    for text, prefix in (("1 1\n2 0\n3 5\n4 9\n5 20\n",
+                          "error: analysis-failed: zero divisor at index 3"),
+                         ("1 1\n2 2\n", "error: insufficient-terms: need at least")):
+        src = tmp_path / "s.b"
+        src.write_text(text)
+        assert run_cli("analyze", "--input", str(src), "--model", "power",
+                       "--output", str(out)) == 1
+        assert prefix in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_verify_quick():
     assert run_cli("verify", "--max-n", "6") == 0
 
@@ -299,6 +338,21 @@ def test_cli_usage_validation(tmp_path, capsys):
                    "--output", "y", "--precision", "10") == 2
     assert run_cli("enumerate", "--pattern", "000", "--terms", "0",
                    "--output", str(tmp_path / "z.bf")) == 2
+    # bad model parameters and prediction counts are usage errors, caught
+    # before the (missing) input is read
+    capsys.readouterr()
+    stretched = ("analyze", "--input", "x", "--model", "stretched", "--output", "y")
+    for extra, message in ((("--mu", "-1"), "mu must be positive"),
+                           (("--sigma", "1.5"), "sigma must lie strictly between"),
+                           (("--sigma", "0"), "sigma must lie strictly between"),
+                           (("--sigma", "0.5", "--mu", "7"),
+                            "sigma 0.5 with --mu makes the ratio fit singular")):
+        assert run_cli(*stretched, *extra) == 2
+        assert f"error: usage: {message}" in capsys.readouterr().err
+    for bad in ("0", "-5"):
+        assert run_cli("extend", "--input", "x", "--output", "y",
+                       "--predict", bad) == 2
+        assert "error: usage: predict must be at least 1" in capsys.readouterr().err
     # verify's exhaustive depth is rejected, not clamped, outside 4..14
     capsys.readouterr()
     for bad in ("3", "15", "20"):

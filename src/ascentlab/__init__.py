@@ -9,9 +9,9 @@ from .sequences import (ascent_count, is_ascent_sequence, is_weak_ascent_sequenc
                         brute_force_avoiders)
 from .dp import (enumerate_ascent, enumerate_000_exponential,
                  enumerate_000_polynomial, enumerate_100, enumerate_110,
-                 enumerate_120, enumerate_avoiders, enumerate_with_cache,
-                 suffix_count, MemoCache, cache_repetition_report,
-                 bitset)
+                 enumerate_120, enumerate_120_exponential, enumerate_avoiders,
+                 enumerate_with_cache, suffix_count, MemoCache,
+                 cache_repetition_report, bitset)
 from .analysis import (StretchedFitParams, FactorialFitParams, ratios,
                        egf_ratios, linear_intercepts, quadratic_intercepts,
                        intercept_pipeline, sigma_estimator_ratio,

@@ -145,12 +145,7 @@ def cmd_analyze(args):
 def cmd_extend(args):
     if args.predict < 1:
         return _fail("usage", "predict must be at least 1", 2)
-    dps = args.precision
-    try:
-        loaded = aio.read_bfile(args.input, dps=dps)
-    except (OSError, ValueError) as exc:
-        return _fail("parse", str(exc))
-    exact = loaded.exact
+    cfgs = None
     if args.order is not None or args.degrees is not None:
         if args.order is None or args.degrees is None:
             return _fail("usage", "--order and --degrees go together", 2)
@@ -163,9 +158,14 @@ def cmd_extend(args):
                     for L in (-1, 0, 1)]
         except ValueError as exc:
             return _fail("usage", str(exc), 2)
-    else:
-        budget = min(loaded.n_exact, 44)
-        cfgs = ap.default_ensemble(budget)
+    dps = args.precision
+    try:
+        loaded = aio.read_bfile(args.input, dps=dps)
+    except (OSError, ValueError) as exc:
+        return _fail("parse", str(exc))
+    exact = loaded.exact
+    if cfgs is None:
+        cfgs = ap.default_ensemble(min(loaded.n_exact, 44))
     try:
         pred = ap.predict_ensemble(exact, cfgs, args.predict, dps=dps)
     except AllFitsFailedError as exc:
@@ -198,9 +198,9 @@ def cmd_extend(args):
 
 
 def cmd_verify(args):
+    if (args.input is None) != (args.pattern is None):
+        return _fail("usage", "--input and --pattern go together", 2)
     if args.input is not None:
-        if args.pattern is None:
-            return _fail("usage", "--input needs --pattern to verify against", 2)
         try:
             loaded = aio.read_bfile(args.input)
         except (OSError, ValueError) as exc:

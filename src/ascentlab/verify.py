@@ -1,6 +1,9 @@
 """Cross-check suite behind the `verify` command: desk-scale consistency
 checks between the enumerators, the exhaustive oracles, closed forms, and
-the structural lemmas."""
+the structural lemmas. Two engines merge set states, and each is checked
+against the raw sweep of its pattern: the polynomial 000 engine (S reduced
+to its size) and the canonical 120 engine (the gaps of S sorted, a merge
+that rests on a conjecture)."""
 
 from __future__ import annotations
 
@@ -75,6 +78,11 @@ def run_checks(max_n=10) -> list:
     check("poly-equals-exponential-000",
           dp.enumerate_000_polynomial(n_pe).values
           == dp.enumerate_000_exponential(n_pe).values, f"n={n_pe}")
+    # the sorted-gap map of the canonical 120 engine is a conjecture
+    # (dp._canonical_120), so its series is checked against the raw sweep
+    check("canonical-equals-raw-120",
+          dp.enumerate_120(n_pe).values == dp.enumerate_120_exponential(n_pe).values,
+          f"n={n_pe}")
 
     n_weak = min(max_n, 9)
     w120 = sq.brute_force_avoiders("120", n_weak, weak=True).values

@@ -2,6 +2,7 @@
 engine cross-checks, cache analysis."""
 
 import functools
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ def test_layered_prefix_consistency(engine, n):
 
 
 SETSTATE_PREFIX_N = {dp.enumerate_000_exponential: 20, dp.enumerate_110: 20,
-                     dp.enumerate_120: 30}
+                     dp.enumerate_120: 30, dp.enumerate_120_exponential: 30}
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,7 +181,8 @@ def test_oracle_equivalence_small():
                     ("000", dp.enumerate_000_exponential),
                     ("100", dp.enumerate_100),
                     ("110", dp.enumerate_110),
-                    ("120", dp.enumerate_120)):
+                    ("120", dp.enumerate_120),
+                    ("120", dp.enumerate_120_exponential)):
         assert fn(11).values == sq.brute_force_avoiders(pat, 11).values, pat
 
 
@@ -215,6 +217,92 @@ def test_poly_equals_exponential_000():
             == dp.enumerate_000_exponential(n).values)
 
 
+def _raw_layers(variant, n_terms):
+    """Every layer of keys the raw sweep builds in a run of n_terms."""
+    keys = np.array([dp._pack(1, 0, 0)], dtype=np.uint64)
+    weights = np.array([1], dtype=object)
+    layers = [keys]
+    for _ in range(n_terms - 2):
+        keys, weights = dp._sweep_step(dp._RULES[variant], keys, weights)
+        layers.append(keys)
+    return np.concatenate(layers)
+
+
+def _sorted_gaps_120(key):
+    """Reference canonical key, one state at a time: the gaps of
+    T = S ∩ [l, a+1] in ascending order upwards from l, and 0 kept in S."""
+    a, l, S = dp._unpack(key)
+    T = [v for v in range(l, S.bit_length()) if S >> v & 1]
+    gaps = sorted(hi - lo for lo, hi in zip(T, T[1:]))
+    return dp._pack(dp.bitset([0, *accumulate(gaps, initial=l)]), a, l)
+
+
+def test_120_states_hold_only_zero_below_l():
+    # proved in dp._canonical_120: S ∩ [0, l) = {0} whenever l > 0
+    keys = _raw_layers("120", 20)
+    l = (keys & 0xFF) - 2
+    below = keys >> 16 & ((np.uint64(1) << l) - 1)
+    assert int(l.max()) < 20 and (below == (l > 0)).all()
+
+
+def test_canonical_120_map():
+    keys = _raw_layers("120", 20)
+    canon = dp._canonical_120(keys)
+    assert canon.tolist() == [_sorted_gaps_120(k) for k in keys.tolist()]
+    assert (dp._canonical_120(canon) == canon).all()
+    for key, c in zip(keys.tolist(), canon.tolist()):
+        (a, l, S), (ca, cl, cS) = dp._unpack(key), dp._unpack(c)
+        assert (ca, cl, cS.bit_length()) == (a, l, S.bit_length())
+        assert (cS >> l).bit_count() == (S >> l).bit_count()
+    assert len(set(canon.tolist())) < len(keys) / 2
+    # the conjecture, state by state: memo-cache keys with one canonical
+    # form hold one count
+    _, cache = dp.enumerate_with_cache("120", 16)
+    rep = dp.cache_repetition_report(cache, group_by=lambda k: (
+        k[0], int(dp._canonical_120(np.array([dp._pack(k[3], k[1], k[2])],
+                                             dtype=np.uint64))[0])))
+    assert rep.single_valued_fraction == 1.0 and len(rep.groups) < len(cache)
+
+
+@st.composite
+def _wide_120_key(draw):
+    """A key with S ∩ [0, l) = {0} and T anywhere below bit _S_BITS."""
+    l = draw(st.integers(0, dp._S_BITS - 1))
+    above = draw(st.integers(0, 2 ** (dp._S_BITS - 1 - l) - 1))
+    S = 1 | (above << 1 | 1) << l
+    return dp._pack(S, draw(st.integers(max(0, S.bit_length() - 2), dp._FIELD_TOP)), l)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_wide_120_key(), min_size=1, max_size=4))
+def test_canonical_120_map_on_wide_keys(keys):
+    # rows with gaps up to bit 47 and unequal gap counts in one array
+    canon = dp._canonical_120(np.array(keys, dtype=np.uint64))
+    assert canon.tolist() == [_sorted_gaps_120(k) for k in keys]
+
+
+def test_weights_switch_to_exact_ints_past_the_word_bound(monkeypatch):
+    engines = {dp.enumerate_000_exponential: 16, dp.enumerate_110: 16,
+               dp.enumerate_120: 24, dp.enumerate_120_exponential: 24}
+    want = {engine: engine(n).values for engine, n in engines.items()}
+    dtypes = []
+    step = dp._sweep_step
+
+    def recording_step(rule, keys, weights, canonical=None):
+        dtypes.append(weights.dtype)
+        return step(rule, keys, weights, canonical)
+
+    monkeypatch.setattr(dp, "_sweep_step", recording_step)
+    monkeypatch.setattr(dp, "_WORD_LIMIT", 1000)
+    for engine, n in engines.items():
+        dtypes.clear()
+        assert engine(n).values == want[engine], engine.__name__
+        # int64 until the bound first fails, exact ints from then on
+        k = dtypes.index(object)
+        assert 0 < k < len(dtypes) - 1
+        assert set(dtypes[:k]) == {np.dtype(np.int64)} and set(dtypes[k:]) == {np.dtype(object)}
+
+
 def test_golden_120_state_trace():
     trace = [dp.suffix_count("120", n, 4, 0, {0, 1, 2, 4}) for n in range(6)]
     assert trace == [1, 6, 32, 160, 778, 3747]
@@ -228,6 +316,7 @@ def test_against_direct_state_safeguards():
     assert dp.enumerate_110(16).values == sg.direct_count_110(16)
     assert dp.enumerate_000_polynomial(18).values == sg.direct_count_000(18)
     assert dp.enumerate_120(16).values == sg.direct_count_120(16)
+    assert dp.enumerate_120_exponential(16).values == sg.direct_count_120(16)
 
 
 def test_series_strictly_increasing():

@@ -4,6 +4,7 @@ byte-level determinism."""
 import json
 import math
 import os
+import re
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -313,8 +314,14 @@ def test_cli_analyze_error_prefixes(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_cli_verify_quick():
+def test_cli_verify_quick(capsys):
     assert run_cli("verify", "--max-n", "6") == 0
+    out = capsys.readouterr().out
+    # the two 120 engines are distinct, so the oracle checks each, and the
+    # canonical one is checked against the raw sweep at max_n + 6
+    for line in ("oracle-equivalence-120-dp", "oracle-equivalence-120-dp-exp",
+                 "canonical-equals-raw-120 +n=12"):
+        assert re.search(f"^PASS {line} *$", out, re.M), line
 
 
 def test_cli_verify_series_file(tmp_path, capsys):
@@ -353,6 +360,18 @@ def test_cli_usage_validation(tmp_path, capsys):
         assert run_cli("extend", "--input", "x", "--output", "y",
                        "--predict", bad) == 2
         assert "error: usage: predict must be at least 1" in capsys.readouterr().err
+    # --order is checked before the (missing) input is read
+    capsys.readouterr()
+    assert run_cli("extend", "--input", str(tmp_path / "missing.b"), "--output", "y",
+                   "--predict", "3", "--order", "2") == 2
+    assert "error: usage: --order and --degrees go together" in capsys.readouterr().err
+    # verify compares a series file only given both --input and --pattern;
+    # one of them alone does not fall back to the whole suite
+    for one in (("--pattern", "120"), ("--input", str(tmp_path / "z.bf"))):
+        assert run_cli("verify", *one) == 2
+        captured = capsys.readouterr()
+        assert "error: usage: --input and --pattern go together" in captured.err
+        assert "checks passed" not in captured.out
     # verify's exhaustive depth is rejected, not clamped, outside 4..14
     capsys.readouterr()
     for bad in ("3", "15", "20"):

@@ -4,9 +4,10 @@ exponential, stretched-exponential and factorial factors.
 Everything runs at a configurable decimal precision (mpmath); transforms of
 exact integer series form each ratio as an exact rational and round once.
 The quotient transforms (ratios, EGF ratios, Hadamard quotients) share one
-quotient loop, every local gradient comes from one helper, and the 4x4
-window fits share one solve. Estimators that assume a growth model take
-the model parameters explicitly; nothing is inferred silently.
+quotient loop, the transforms of consecutive terms one pairwise loop, every
+local gradient comes from one helper, and the 4x4 window fits share one
+solve. Estimators that assume a growth model take the model parameters
+explicitly; nothing is inferred silently.
 """
 
 from __future__ import annotations
@@ -96,8 +97,19 @@ class InterceptSummary:
     depth: int
 
 
-def _values_with_indices(series):
-    return list(series.indices()), list(series.values)
+def _pairwise(x, f) -> RealSeries:
+    """f(n, x_n, x_{n-1}) over consecutive terms, at x's precision; the
+    result starts at x's second index."""
+    with mpmath.workdps(x.dps):
+        out = [f(n, a, b) for n, a, b in zip(x.indices()[1:], x.values[1:], x.values)]
+    return RealSeries(out, first_index=x.first_index + 1, dps=x.dps)
+
+
+def _logs(c, dps) -> RealSeries:
+    """log c_n at the working precision, each c_n rounded to it first."""
+    d = working_dps(c, dps=dps)
+    with mpmath.workdps(d):
+        return RealSeries([mpmath.log(mpf(v)) for v in c.values], c.first_index, d)
 
 
 def _quotients(ns, nums, dens, exact, dps) -> RealSeries:
@@ -139,11 +151,7 @@ def linear_intercepts(r: RealSeries) -> RealSeries:
     """l_n = n*r_n - (n-1)*r_{n-1}; cancels an additive c/n correction."""
     if len(r) < 2:
         raise InsufficientTermsError("need at least two terms")
-    out = []
-    with mpmath.workdps(r.dps):
-        for n in range(r.first_index + 1, r.last_index + 1):
-            out.append(n * r.at(n) - (n - 1) * r.at(n - 1))
-    return RealSeries(out, first_index=r.first_index + 1, dps=r.dps)
+    return _pairwise(r, lambda n, a, b: n * a - (n - 1) * b)
 
 
 def quadratic_intercepts(l: RealSeries) -> RealSeries:
@@ -151,12 +159,8 @@ def quadratic_intercepts(l: RealSeries) -> RealSeries:
     correction (applied after linear_intercepts the residual is O(1/n^3))."""
     if len(l) < 2:
         raise InsufficientTermsError("need at least two terms")
-    out = []
-    with mpmath.workdps(l.dps):
-        for n in range(l.first_index + 1, l.last_index + 1):
-            out.append((n * n * l.at(n) - (n - 1) * (n - 1) * l.at(n - 1))
-                       / (2 * n - 1))
-    return RealSeries(out, first_index=l.first_index + 1, dps=l.dps)
+    return _pairwise(l, lambda n, a, b:
+                     (n * n * a - (n - 1) * (n - 1) * b) / (2 * n - 1))
 
 
 def intercept_pipeline(r: RealSeries):
@@ -183,17 +187,17 @@ def _trace_against_log_n(name, ns, ys, dps, skipped=()):
                           skipped=list(skipped), dps=dps)
 
 
-def _log_trace(name, ns, raw, dps):
+def _log_trace(name, raw: RealSeries):
     """log(raw) against log(n), skipping non-positive entries."""
     kept, ys, skipped = [], [], []
-    with mpmath.workdps(dps):
-        for n, v in zip(ns, raw):
+    with mpmath.workdps(raw.dps):
+        for n, v in zip(raw.indices(), raw.values):
             if v <= 0:
                 skipped.append((n, "non-positive argument to log"))
                 continue
             kept.append(n)
             ys.append(mpmath.log(v))
-    return _trace_against_log_n(name, kept, ys, dps, skipped)
+    return _trace_against_log_n(name, kept, ys, raw.dps, skipped)
 
 
 def sigma_estimator_ratio(r: RealSeries) -> EstimatorTrace:
@@ -201,33 +205,20 @@ def sigma_estimator_ratio(r: RealSeries) -> EstimatorTrace:
     Ratios fall under pure power-law growth, so only exact zeros are skipped."""
     if len(r) < 3:
         raise InsufficientTermsError("need at least three ratio terms")
-    ns, raw = [], []
-    with mpmath.workdps(r.dps):
-        for n in range(r.first_index + 1, r.last_index + 1):
-            ns.append(n)
-            raw.append(abs(r.at(n) / r.at(n - 1) - 1))
-    return _log_trace("sigma_ratio", ns, raw, r.dps)
+    return _log_trace("sigma_ratio", _pairwise(r, lambda n, a, b: abs(a / b - 1)))
 
 
 def sigma_estimator_root(c, dps=None) -> EstimatorTrace:
     """log(c_n^{1/n}/c_{n-1}^{1/(n-1)} - 1) against log n; gradients tend to
-    sigma - 2. Equal to the ratio estimator at leading order."""
-    d = working_dps(c, dps=dps)
-    ns, vals = _values_with_indices(c)
-    if len(vals) < 3:
+    sigma - 2. Equal to the ratio estimator at leading order. A series
+    indexed from 0 starts at n = 2, as c_0^{1/0} is undefined."""
+    if len(c) < 3:
         raise InsufficientTermsError("need at least three terms")
-    out_ns, raw = [], []
-    with mpmath.workdps(d):
-        logs = [mpmath.log(mpf(v)) if not isinstance(v, mpf) else mpmath.log(v)
-                for v in vals]
-        for i in range(1, len(vals)):
-            n = ns[i]
-            if n - 1 == 0:
-                continue
-            a = mpmath.e ** (logs[i] / n - logs[i - 1] / (n - 1))
-            out_ns.append(n)
-            raw.append(a - 1)
-    return _log_trace("sigma_root", out_ns, raw, d)
+    logs = _logs(c, dps)
+    if logs.first_index == 0:
+        logs = RealSeries(logs.values[1:], first_index=1, dps=logs.dps)
+    return _log_trace("sigma_root", _pairwise(
+        logs, lambda n, a, b: mpmath.e ** (a / n - b / (n - 1)) - 1))
 
 
 def sigma_local_gradient_known_mu(r: RealSeries, mu) -> RealSeries:
@@ -235,17 +226,16 @@ def sigma_local_gradient_known_mu(r: RealSeries, mu) -> RealSeries:
     tends to sigma when the growth constant mu is known."""
     if not mu > 0:
         raise ValueError("mu must be positive")
-    out = []
-    with mpmath.workdps(r.dps):
-        m = to_mpf(mu, r.dps)
-        for n in range(r.first_index + 1, r.last_index + 1):
-            cur = r.at(n) / m - 1
-            prev = r.at(n - 1) / m - 1
-            if cur == 0 or prev == 0:
-                raise ValueError(f"ratio equals mu exactly at index {n}")
-            out.append(1 + (mpmath.log(abs(cur)) - mpmath.log(abs(prev)))
-                       / (mpmath.log(n) - mpmath.log(n - 1)))
-    return RealSeries(out, first_index=r.first_index + 1, dps=r.dps)
+    m = to_mpf(mu, r.dps)
+
+    def gradient(n, a, b):
+        cur, prev = a / m - 1, b / m - 1
+        if cur == 0 or prev == 0:
+            raise ValueError(f"ratio equals mu exactly at index {n}")
+        return 1 + ((mpmath.log(abs(cur)) - mpmath.log(abs(prev)))
+                    / (mpmath.log(n) - mpmath.log(n - 1)))
+
+    return _pairwise(r, gradient)
 
 
 def mu1_estimator(r: RealSeries, mu, sigma) -> RealSeries:
@@ -276,19 +266,16 @@ def g_estimator(c, mu, sigma, dps=None) -> EstimatorTrace:
     d_n = c_n / mu^n. Local gradients tend to -g."""
     if not mu > 0:
         raise ValueError("mu must be positive")
-    d = working_dps(c, dps=dps)
-    ns, vals = _values_with_indices(c)
-    ys = []
+    logs = _logs(c, dps)
+    d = logs.dps
+    m, s = to_mpf(mu, d), to_mpf(sigma, d)
     with mpmath.workdps(d):
-        m, s = to_mpf(mu, d), to_mpf(sigma, d)
         logmu = mpmath.log(m)
-        logd = [mpmath.log(mpf(v)) - n * logmu for n, v in zip(ns, vals)]
-        for i in range(1, len(ns)):
-            n = ns[i]
-            e = ((mpf(n - 1) ** s) * logd[i] - (mpf(n) ** s) * logd[i - 1]) \
-                * mpf(n) ** (1 - s)
-            ys.append(e / s)
-    return _trace_against_log_n("g_estimator", ns[1:], ys, d)
+    # log d_n = log c_n - n log mu
+    ys = _pairwise(logs, lambda n, a, b: (mpf(n - 1) ** s * (a - n * logmu)
+                                          - mpf(n) ** s * (b - (n - 1) * logmu))
+                   * mpf(n) ** (1 - s) / s)
+    return _trace_against_log_n("g_estimator", list(ys.indices()), ys.values, d)
 
 
 def mu1_refined(c, mu, sigma, g, dps=None) -> RealSeries:
@@ -296,19 +283,17 @@ def mu1_refined(c, mu, sigma, g, dps=None) -> RealSeries:
     f_n = c_n / (n^g mu^n); limit is log(mu1)."""
     if not mu > 0:
         raise ValueError("mu must be positive")
-    d = working_dps(c, dps=dps)
-    ns, vals = _values_with_indices(c)
-    out = []
+    logs = _logs(c, dps)
+    d = logs.dps
+    m, s, gg = to_mpf(mu, d), to_mpf(sigma, d), to_mpf(g, d)
     with mpmath.workdps(d):
-        m, s, gg = to_mpf(mu, d), to_mpf(sigma, d), to_mpf(g, d)
         logmu = mpmath.log(m)
-        logf = [mpmath.log(mpf(v)) - gg * mpmath.log(n) - n * logmu
-                for n, v in zip(ns, vals)]
-        for i in range(1, len(ns)):
-            n = ns[i]
-            denom = mpf(n) ** s - mpf(n - 1) ** s
-            out.append((logf[i] - logf[i - 1]) / denom)
-    return RealSeries(out, first_index=ns[1], dps=d)
+
+    def logf(n, log_c):
+        return log_c - gg * mpmath.log(n) - n * logmu
+
+    return _pairwise(logs, lambda n, a, b: (logf(n, a) - logf(n - 1, b))
+                     / (mpf(n) ** s - mpf(n - 1) ** s))
 
 
 def _solve_window(rows, rhs, k, name) -> LinearFitWindow:
@@ -462,16 +447,15 @@ def neville_extrapolate(xs, ys, x0=0, dps=DEFAULT_DPS):
         return tab[0]
 
 
-def extrapolate_intercept(series, power=1.0, depth=3, name="trace") -> InterceptSummary:
+def extrapolate_intercept(series, power=1.0, depth=3, name="trace",
+                          dps=None) -> InterceptSummary:
     """Ordinate intercept of a trace via (a) the raw last value and (b) Neville
-    extrapolation of the last `depth` points in the abscissa 1/n^power."""
+    extrapolation of the last `depth` points in the abscissa 1/n^power, for a
+    RealSeries or a list of (n, value) pairs."""
+    dps = working_dps(series, dps=dps)
     if isinstance(series, RealSeries):
-        ns = list(series.indices())
-        vals = list(series.values)
-        dps = series.dps
-    else:
-        ns, vals = [n for n, _ in series], [v for _, v in series]
-        dps = DEFAULT_DPS
+        series = list(zip(series.indices(), series.values))
+    ns, vals = [n for n, _ in series], [v for _, v in series]
     if not ns:
         raise InsufficientTermsError(f"empty trace {name}")
     depth = min(depth, len(ns))

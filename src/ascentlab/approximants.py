@@ -348,6 +348,8 @@ def default_ensemble(budget, orders=(1, 2, 3)) -> list:
 
     For each order and inhomogeneous degree the base vector is balanced; a
     second variant lowers the degree of Q_0 by one (all degree gaps <= 2).
+    With base >= 2 every config matches 4..budget terms, and distinct orders
+    give distinct configs.
     """
     out = []
     for M in orders:
@@ -357,9 +359,7 @@ def default_ensemble(budget, orders=(1, 2, 3)) -> list:
                 continue
             for drop in (0, 1):
                 degs = [base - drop] + [base] * M
-                cfg = DAConfig(order=M, degrees=tuple(degs), inhomog_degree=L)
-                if 1 <= cfg.matched_terms <= budget and cfg not in out:
-                    out.append(cfg)
+                out.append(DAConfig(order=M, degrees=tuple(degs), inhomog_degree=L))
     return sorted(out, key=DAConfig.sort_key)
 
 

@@ -109,6 +109,8 @@ def cmd_analyze(args):
     if args.model == "stretched" and args.mu is not None and args.sigma == 0.5:
         return _fail("usage", "sigma 0.5 with --mu makes the ratio fit singular: "
                      "its terms n^(2*sigma-2) and 1/n coincide", 2)
+    if args.model == "stretched" and args.g is not None and args.mu is None:
+        return _fail("usage", "--g needs --mu", 2)
     dps = args.precision
     try:
         loaded = aio.read_bfile(args.input, dps=dps)
@@ -130,7 +132,8 @@ def cmd_analyze(args):
             cols, traces = _analyze_stretched(real, dps, args.sigma, args.mu, args.g)
         else:
             cols, traces = _analyze_factorial(real, dps)
-        summaries = [an.extrapolate_intercept(trace, power=power, depth=3, name=name)
+        summaries = [an.extrapolate_intercept(trace, power=power, depth=3,
+                                              name=name, dps=dps)
                      for name, trace, power in traces]
     except InsufficientTermsError as exc:
         return _fail("insufficient-terms", str(exc))

@@ -66,34 +66,17 @@ def _cmp(a, b):
 
 def contains_pattern(seq, pattern) -> bool:
     """True iff some subsequence of seq is order-isomorphic to pattern
-    (strict inequalities and equalities both preserved)."""
-    k = len(pattern)
-    if k == 0:
-        return True
-    n = len(seq)
-    if n < k:
-        return False
-    # rows[j][a] = _cmp(pattern[j], pattern[a]) for a < j, built once per call
-    rows = [[_cmp(pattern[j], pattern[a]) for a in range(j)] for j in range(k)]
-    chosen = [0] * k
-
-    def rec(j, start):
-        if j == k:
+    (strict inequalities and equalities both preserved). Scans every
+    k-subsequence, k = len(pattern); meant for short sequences."""
+    relations = [(a, b, _cmp(pattern[a], pattern[b]))
+                 for a, b in combinations(range(len(pattern)), 2)]
+    for sub in combinations(seq, len(pattern)):
+        for a, b, rel in relations:
+            if _cmp(sub[a], sub[b]) != rel:
+                break
+        else:
             return True
-        row = rows[j]
-        for idx in range(start, n - k + j + 1):
-            v = seq[idx]
-            for a in range(j):
-                c = chosen[a]
-                if (v > c) - (v < c) != row[a]:  # _cmp(v, c), inlined
-                    break
-            else:
-                chosen[j] = v
-                if rec(j + 1, idx + 1):
-                    return True
-        return False
-
-    return rec(0, 0)
+    return False
 
 
 def pattern_occurrences(seq, pattern) -> int:
@@ -188,44 +171,29 @@ def weak_ascent_sequences(length):
         yield from rec([first], 0, first)
 
 
-def _completion_masks(pattern, width):
-    """For each candidate letter x, the bitset of earlier value-pairs (u, v)
-    whose relative order together with x realizes the 3-letter pattern."""
-    p0, p1, p2 = pattern
-    r01, r02, r12 = _cmp(p0, p1), _cmp(p0, p2), _cmp(p1, p2)
-    masks = [0] * width
-    for x in range(width):
-        m = 0
-        for u in range(width):
-            if _cmp(u, x) != r02:
-                continue
-            for v in range(width):
-                if _cmp(u, v) == r01 and _cmp(v, x) == r12:
-                    m |= 1 << (u * width + v)
-        masks[x] = m
-    return masks
-
-
 class _BlockedLetters(dict):
     """`self[seen, x]`: the bitset of letters z that complete the 3-letter
     pattern with a new pair (u, x), u in `seen` -- the letters that appending
     x to a prefix with letter set `seen` blocks for good.
 
-    Read off `_completion_masks`, so `_cmp` stays the one definition of the
-    pattern. Entries depend only on (seen, x) and hold no counts; they are
+    z is blocked iff some u in `seen` makes (u, x, z) an occurrence, read off
+    the pattern's three `_cmp` relations, so `_cmp` stays the one definition
+    of the pattern. Entries depend only on (seen, x) and hold no counts; they are
     filled on first use.
     """
 
     def __init__(self, pattern, width):
         super().__init__()
+        p0, p1, p2 = pattern
+        self.relations = _cmp(p0, p1), _cmp(p0, p2), _cmp(p1, p2)
         self.width = width
-        self.completes = _completion_masks(pattern, width)
 
     def __missing__(self, key):
         seen, x = key
-        w = self.width
-        pairs = sum(1 << (u * w + x) for u in range(w) if seen >> u & 1)
-        blocked = sum(1 << z for z, m in enumerate(self.completes) if m & pairs)
+        r01, r02, r12 = self.relations
+        us = [u for u in range(self.width) if seen >> u & 1 and _cmp(u, x) == r01]
+        blocked = sum(1 << z for z in range(self.width) if _cmp(x, z) == r12
+                      and any(_cmp(u, z) == r02 for u in us))
         self[key] = blocked
         return blocked
 

@@ -99,6 +99,27 @@ def test_index_discipline():
     assert l.first_index == 3
     l2 = an.quadratic_intercepts(l)
     assert l2.first_index == 4
+    # every transform of consecutive terms starts one index after its input
+    s = an.synth_series(STRETCHED, 12, dps=60)
+    for first in (0, 2):
+        c2 = RealSeries(s.values, first, 60)
+        r2 = an.ratios(c2)
+        for out in (an.linear_intercepts(r2), an.quadratic_intercepts(r2),
+                    an.sigma_local_gradient_known_mu(r2, STRETCHED.mu)):
+            assert out.first_index == first + 2 and len(out) == len(r2) - 1
+        m = an.mu1_refined(c2, STRETCHED.mu, STRETCHED.sigma, STRETCHED.g)
+        assert m.first_index == first + 1 and len(m) == len(c2) - 1
+        assert an.sigma_estimator_ratio(r2).ns[0] == first + 2
+        assert an.g_estimator(c2, STRETCHED.mu, STRETCHED.sigma).ns[0] == first + 1
+    fact = [math.factorial(n) for n in range(12)]
+    t2 = an.sigma_estimator_root(CoefficientSeries(fact[2:], first_index=2))
+    assert not t2.skipped and t2.ns[0] == 3
+    # a series indexed from 0 has no pair at n = 1 (c_0^{1/0}); the trace
+    # starts at n = 2 and matches the same values indexed from 1 there on
+    t0 = an.sigma_estimator_root(CoefficientSeries(fact, first_index=0))
+    t1 = an.sigma_estimator_root(CoefficientSeries(fact[1:], first_index=1))
+    assert not t0.skipped and t0.ns[0] == 2
+    assert t0.ns == t1.ns and t0.y == t1.y
 
 
 def test_sigma_estimators_on_synthetic():
@@ -284,6 +305,24 @@ def test_precision_monotonicity():
     assert r30.dps == 30 and r60.dps == 60
     # derived series inherit the minimum input precision
     assert an.linear_intercepts(r30).dps == 30
+    s = an.synth_series(STRETCHED, 12, dps=40)
+    r = an.ratios(s)
+    assert r.dps == 40
+    assert an.quadratic_intercepts(r).dps == 40
+    assert an.sigma_local_gradient_known_mu(r, STRETCHED.mu).dps == 40
+    assert an.sigma_estimator_ratio(r).dps == 40
+    assert an.sigma_estimator_root(s).dps == 40
+    assert an.g_estimator(s, STRETCHED.mu, STRETCHED.sigma).dps == 40
+    assert an.mu1_refined(s, STRETCHED.mu, STRETCHED.sigma, STRETCHED.g).dps == 40
+    # an explicit precision overrides the input's, for the log transforms too
+    assert an.sigma_estimator_root(s, dps=30).dps == 30
+    assert an.mu1_refined(s, STRETCHED.mu, STRETCHED.sigma, STRETCHED.g, dps=30).dps == 30
+    # a list trace is extrapolated at the precision it is given
+    trace = list(zip(r.indices(), r.values))
+    with mpmath.workdps(40):
+        want = an.neville_extrapolate([1 / mpf(n) for n in r.indices()][-3:],
+                                      r.values[-3:], 0, 40)
+    assert an.extrapolate_intercept(trace, dps=40).neville == want
 
 
 def test_synth_requires_enough_terms():

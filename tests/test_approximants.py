@@ -217,6 +217,7 @@ def test_default_ensemble_shapes():
     assert all(c.matched_terms <= 30 for c in cfgs)
     assert all(max(c.degrees) - min(c.degrees) <= 2 for c in cfgs)
     assert cfgs == sorted(cfgs, key=ap.DAConfig.sort_key)
+    assert len(set(cfgs)) == len(cfgs)
 
 
 def test_ensemble_prediction_catalan():

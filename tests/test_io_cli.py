@@ -12,6 +12,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
+from ascentlab import analysis as an
 from ascentlab import cli
 from ascentlab import dp
 from ascentlab import io as aio
@@ -188,6 +189,24 @@ def test_cli_analyze_matches_golden(tmp_path, model, source):
             == Path(f"{golden}.summary.txt").read_bytes())
 
 
+def test_cli_analyze_summary_at_requested_precision(tmp_path):
+    # the (n, value) traces are extrapolated at --precision, not at 60 digits
+    src = tmp_path / "000.b"
+    src.write_bytes(b"".join((REF_DIR / "000.b").read_bytes()
+                             .splitlines(keepends=True)[:40]))
+    out = tmp_path / "trace.csv"
+    assert run_cli("analyze", "--input", str(src), "--output", str(out),
+                   "--model", "factorial-egf", "--precision", "100") == 0
+    alpha = an.factorial_ratio_transforms(aio.read_bfile(src, dps=100).exact,
+                                          dps=100).alpha_estimates[-3:]
+    with mpmath.workdps(100):
+        want = an.neville_extrapolate([1 / mpf(n) for n, _ in alpha],
+                                      [v for _, v in alpha], 0, 100)
+    line = next(s for s in Path(f"{out}.summary.txt").read_text().splitlines()
+                if s.startswith("alpha_estimate "))
+    assert line.endswith(f"neville(depth=3)={aio.format_real(want, 100)}")
+
+
 def test_cli_enumerate_determinism(tmp_path):
     a, b = tmp_path / "a.bf", tmp_path / "b.bf"
     for pattern, algo in (("000", "dp-poly"), ("100", "dp"), ("120", "dp-exp"),
@@ -353,7 +372,8 @@ def test_cli_usage_validation(tmp_path, capsys):
                            (("--sigma", "1.5"), "sigma must lie strictly between"),
                            (("--sigma", "0"), "sigma must lie strictly between"),
                            (("--sigma", "0.5", "--mu", "7"),
-                            "sigma 0.5 with --mu makes the ratio fit singular")):
+                            "sigma 0.5 with --mu makes the ratio fit singular"),
+                           (("--g", "2"), "--g needs --mu")):
         assert run_cli(*stretched, *extra) == 2
         assert f"error: usage: {message}" in capsys.readouterr().err
     for bad in ("0", "-5"):

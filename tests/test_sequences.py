@@ -180,6 +180,20 @@ def test_oracle_matches_definition_every_length3_pattern():
         assert sq.brute_force_avoiders(p, 7, weak=True).values == want, p
 
 
+def test_blocked_letters_match_definition():
+    # appending x to a prefix with letter set `seen` blocks z for good iff
+    # some u in `seen` makes (u, x, z) an occurrence of the pattern
+    width = 5
+    for p in LENGTH3_PATTERNS:
+        blocks = sq._BlockedLetters(p, width)
+        for seen in range(1 << width):
+            us = [u for u in range(width) if seen >> u & 1]
+            for x in range(width):
+                want = sum(1 << z for z in range(width)
+                           if any(sq.contains_pattern((u, x, z), p) for u in us))
+                assert blocks[seen, x] == want, (p, seen, x)
+
+
 def test_weak_counts_match_definition():
     # unrestricted weak ascent sequences by the definition, length 3: exactly
     # 000, 001, 010, 011, 012, 101

@@ -401,8 +401,11 @@ def predict_ensemble(c: CoefficientSeries, cfgs, count,
                      dps=DEFAULT_DPS) -> PredictionResult:
     """Extend the series with every approximant that fits, then aggregate
     per index: values beyond MAD_MULTIPLIER median absolute deviations from
-    the median are excluded, the mean of the rest is reported together with
-    the shared-leading-digits count and the standard deviation."""
+    the median are excluded, unless fewer than three values would be left,
+    and the mean of the rest is reported together with the
+    shared-leading-digits count and the standard deviation. MAD keeps at
+    least half of the values, so only ensembles of fewer than five fits can
+    keep them all."""
     cfgs = sorted(cfgs, key=DAConfig.sort_key)
     fits, failures = [], []
     for cfg in cfgs:
@@ -423,14 +426,13 @@ def predict_ensemble(c: CoefficientSeries, cfgs, count,
             vals = [(cfg, v[i]) for cfg, v in fits]
             med = statistics.median(v for _, v in vals)
             mad = statistics.median(abs(v - med) for _, v in vals)
-            kept = []
-            for cfg, v in vals:
-                off = (abs(v - med) > MAD_MULTIPLIER * mad if mad > 0
-                       else v != med)
-                if off:
-                    excluded.append((c.last_index + 1 + i, cfg, v))
-                else:
-                    kept.append(v)
+            off = [abs(v - med) > MAD_MULTIPLIER * mad if mad > 0 else v != med
+                   for _, v in vals]
+            if len(vals) - sum(off) < 3:
+                off = [False] * len(vals)  # too few would agree: keep every fit
+            kept = [v for (_, v), o in zip(vals, off) if not o]
+            excluded += [(c.last_index + 1 + i, cfg, v)
+                         for (cfg, v), o in zip(vals, off) if o]
             mean = sum(kept) / len(kept)
             var = sum((v - mean) ** 2 for v in kept) / len(kept)
             means.append(mean)

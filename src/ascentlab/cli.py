@@ -26,6 +26,8 @@ from .errors import (AllFitsFailedError, CapExceededError,
 from .series import DEFAULT_DPS
 
 MODELS = ("power", "stretched", "factorial", "factorial-egf")
+# The stretched model's sigma when --sigma is not given.
+STRETCHED_SIGMA = 0.375
 
 
 def _fail(prefix, message, code=1):
@@ -102,15 +104,22 @@ def _analyze_factorial(real, dps):
 def cmd_analyze(args):
     if args.model not in MODELS:
         return _fail("usage", f"model must be one of {MODELS}", 2)
-    if args.mu is not None and not args.mu > 0:
-        return _fail("usage", "mu must be positive", 2)
-    if not 0 < args.sigma < 1:
-        return _fail("usage", "sigma must lie strictly between 0 and 1", 2)
-    if args.model == "stretched" and args.mu is not None and args.sigma == 0.5:
-        return _fail("usage", "sigma 0.5 with --mu makes the ratio fit singular: "
-                     "its terms n^(2*sigma-2) and 1/n coincide", 2)
-    if args.model == "stretched" and args.g is not None and args.mu is None:
-        return _fail("usage", "--g needs --mu", 2)
+    if args.model != "stretched":
+        if (args.mu, args.g, args.sigma) != (None, None, None):
+            return _fail("usage", "--mu, --g and --sigma apply only to "
+                         "--model stretched", 2)
+    else:
+        if args.sigma is None:
+            args.sigma = STRETCHED_SIGMA
+        if args.mu is not None and not args.mu > 0:
+            return _fail("usage", "mu must be positive", 2)
+        if not 0 < args.sigma < 1:
+            return _fail("usage", "sigma must lie strictly between 0 and 1", 2)
+        if args.mu is not None and args.sigma == 0.5:
+            return _fail("usage", "sigma 0.5 with --mu makes the ratio fit "
+                         "singular: its terms n^(2*sigma-2) and 1/n coincide", 2)
+        if args.g is not None and args.mu is None:
+            return _fail("usage", "--g needs --mu", 2)
     dps = args.precision
     try:
         loaded = aio.read_bfile(args.input, dps=dps)
@@ -249,7 +258,8 @@ def build_parser():
     pa.add_argument("--input", required=True)
     pa.add_argument("--output", required=True)
     pa.add_argument("--model", required=True)
-    pa.add_argument("--sigma", type=float, default=0.375)
+    pa.add_argument("--sigma", type=float,
+                    help=f"stretched model only; default {STRETCHED_SIGMA}")
     pa.add_argument("--mu", type=float)
     pa.add_argument("--g", type=float)
     pa.add_argument("--precision", type=int, default=DEFAULT_DPS)

@@ -7,8 +7,10 @@ Two engine styles:
   slices, memory bounded to two layers plus their prefix sums. A step
   builds each new slice a from the prefix sums of old slices a-1, a and a+1
   in a few whole-slice operations (list comprehensions for ascent, numpy
-  object-array gathers for 100 and 000), so no Python loop runs over a
-  slice's entries or columns. Used where hundreds of terms are wanted.
+  object-array gathers for 000), so no Python loop runs over a slice's
+  entries or columns. 100 keeps per-m blocks instead, in which old slices
+  a-1 and a are adjacent columns, so a step is plain slicing of each old
+  block's row prefix sums. Used where hundreds of terms are wanted.
 * Set-state engines (exponential 000, 110, 120): states carry a bit-set of
   letter values. Each pattern has one branch-free transition rule from a
   packed state key (see `_pack`) and a next letter to the child's key; it
@@ -94,8 +96,8 @@ def enumerate_ascent(n_terms: int) -> CoefficientSeries:
 def _padded_cumsum(g):
     """Row prefix sums of g under a zero row: out[r] = g[0] + ... + g[r-1].
 
-    Row 0 is zero, so a gather at column index -1 from row 0 (the m - 1 or
-    K - 1 of column 0 below, which wraps to the last column) reads 0.
+    Row 0 is zero, so a gather at column index -1 from row 0 (the K - 1 of
+    column 0 below, which wraps to the last column) reads 0.
     """
     out = np.zeros((g.shape[0] + 1, g.shape[1]), dtype=object)
     np.cumsum(g, axis=0, out=out[1:])
@@ -114,44 +116,48 @@ def enumerate_100(n_terms: int) -> CoefficientSeries:
                + sum_{i=max(m,l+1)}^{a+1} f(n-1, a+1, i, i)
                + [l=m] f(n-1, a, m, m)
 
-    Slice a is an array [l+1, m]. With P and Q the zero-padded prefix sums
-    (`_padded_cumsum`) of slices a-1 and a, and t[i] the sum of
-    f(n-1, a+1, j, j) over j = i..a+1, an entry with l < m is
-    P[l+1, m-1] - Q[l+1, m-1] + Q[m, m-1] + t[m], and one with l = m is
-    P[m, m-1] + t[m+1] + f(n-1, a, m, m). A new slice is therefore one
-    gather over the entries l < m plus one O(a) fix of the diagonal l = m.
+    Block m holds the entries l < m as an array [l+1, a-m+1], a = m-1..d-2
+    (block 0 has an all-zero column a = -1, which holds no states), and the
+    diagonal l = m of every block is one array D[m, a+1], a <= d. A step
+    from depth d+1 to d reads old block columns up to a = d-1 for the new
+    diagonal and up to d-2 for the new blocks, so no block column past its
+    depth minus 2 is ever read, and none is stored.
+
+    Let cs be the row prefix sums of old block m-1, all m rows of which are
+    read (its last row holds the column totals), and t[m, a+2] the sum of
+    f(n-1, a+1, j, j) over j = m..a+1, one reversed cumsum over the strict
+    upper triangle of the old D. Row 0 of new block m is
+    c[a] = cs[m-1, a] + t[m, a+2], and row l+1 >= 1 is
+    cs[l, a-1] - cs[l, a] + c[a]: old columns a-1 and a are adjacent, so a
+    new block is plain slicing with no gather. The diagonal is
+    cs[m-1, a-1] + t[m+1, a+2] + f(n-1, a, m, m), whole-array over D but
+    for the totals cs[m-1] of each block. Each old block is prefix-summed
+    in place and dropped once read, so a step holds about one layer.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    # slice a: array[l+1, m] for -1 <= l <= m <= a+1; entries with l > m are 0
-    layer = [np.triu(np.ones((a + 3, a + 2), dtype=object), -1)
-             for a in range(n_terms)]
-    # (m, l+1) for l < m, column by column, so that each slice's entries
-    # are a prefix
-    cols, rows = np.tril_indices(n_terms)
+    d = n_terms - 1
+    blocks = [np.ones((m + 1, d - m), dtype=object) for m in range(d + 1)]
+    D = np.triu(np.ones((d + 2, d + 2), dtype=object))
+    blocks[0][0, :1] = D[:, 0] = 0   # a = -1 holds no states
     terms = [1]
     for step in range(1, n_terms):
         d = n_terms - 1 - step
-        # pre[a+1] belongs to slice a; slice a = -1 holds no states
-        pre = ([np.zeros((3, 1), dtype=object)]
-               + [_padded_cumsum(g) for g in layer[:d + 1]])
-        new_layer = []
-        for a in range(d + 1):
-            w = a + 2
-            P, Q = pre[a], pre[a + 1]
-            diag = layer[a + 1].diagonal(-1)    # f(n-1, a+1, i, i), i = 0..a+2
-            t = np.zeros(w + 1, dtype=object)   # suffix sums of diag[:w]; t[w] = 0
-            np.cumsum(diag[w - 1::-1], out=t[w - 1::-1])
-            i = np.arange(w)
-            c = Q[i, i - 1] + t[:w]
-            k = w * (w + 1) // 2
-            r, m = rows[:k], cols[:k]
-            g = np.zeros((w + 1, w), dtype=object)
-            g[r, m] = P[r, m - 1] - Q[r, m - 1] + c[m]
-            g[i + 1, i] = P[i, i - 1] + t[1:] + layer[a].diagonal(-1)
-            new_layer.append(g)
-        layer = new_layer
-        terms.append(int(layer[0][1, 0]))
+        t = np.cumsum(np.triu(D, 1)[::-1], axis=0)[::-1]
+        D = D[:d + 2, :d + 2] + t[1:, 1:]
+        old, blocks = blocks, [np.concatenate(([0], t[0, 2:d + 1]))[None, :]]
+        for m in range(1, d + 2):
+            cs, old[m - 1] = old[m - 1], None
+            np.cumsum(cs, axis=0, out=cs)
+            D[m, m:] += cs[-1]
+            if m < d:
+                c = cs[-1, 1:-1] + t[m, m + 1:d + 1]
+                g = np.empty((m + 1, d - m), dtype=object)
+                g[0] = c
+                np.subtract(cs[:, :-2], cs[:, 1:-1], out=g[1:])
+                g[1:] += c
+                blocks.append(g)
+        terms.append(int(D[0, 1]))
     return CoefficientSeries(terms, first_index=1)
 
 

@@ -268,6 +268,21 @@ def test_ensemble_outlier_exclusion():
             assert abs(pred_clean.values[i] - dirty_mean) <= spread
 
 
+def test_small_ensemble_keeps_every_fit():
+    # with three fits, MAD could keep two that happen to agree and claim
+    # their agreement; keeping every fit, each claim holds against the true
+    # term within one unit of the last claimed digit
+    exact = dp.enumerate_120(40)
+    cfgs = [ap.DAConfig(order=2, degrees=(6, 6, 6), inhomog_degree=L)
+            for L in (-1, 0, 1)]
+    pred = ap.predict_ensemble(exact.truncate(30), cfgs, 10)
+    assert pred.excluded == []
+    with mpmath.workdps(80):
+        for n, v, digits in zip(range(31, 41), pred.values, pred.agreed_digits):
+            true = exact.at(n)
+            assert abs(v - true) <= mpf(10) ** (len(str(true)) - digits), n
+
+
 def test_all_fits_failed():
     tiny = CoefficientSeries([1, 2])
     cfgs = [ap.DAConfig(order=1, degrees=(5, 5))] * 4

@@ -162,6 +162,30 @@ def test_layered_prefix_consistency(engine, n):
     assert engine(n).values == _full_run(engine, PREFIX_N)[:n]
 
 
+def test_100_matches_its_recurrence():
+    # the four range sums of enumerate_100's docstring, read one state at a
+    # time into a dict; a = -1 holds no states
+    memo = {}
+
+    def f(n, a, l, m):
+        if a < 0:
+            return 0
+        if n == 0:
+            return 1
+        key = (n, a, l, m)
+        if key not in memo:
+            k = n - 1
+            memo[key] = (sum(f(k, a - 1, i - 1, m - 1) for i in range(min(l, m - 1) + 1))
+                         + sum(f(k, a, i - 1, m - 1) for i in range(l + 1, m))
+                         + sum(f(k, a + 1, i, i) for i in range(max(m, l + 1), a + 2))
+                         + (f(k, a, m, m) if l == m else 0))
+        return memo[key]
+
+    series = [f(n - 1, 0, 0, 0) for n in range(1, 31)]
+    for n in range(1, 31):
+        assert dp.enumerate_100(n).values == series[:n], n
+
+
 SETSTATE_PREFIX_N = {dp.enumerate_000_exponential: 20, dp.enumerate_110: 20,
                      dp.enumerate_120: 30, dp.enumerate_120_exponential: 30}
 

@@ -376,6 +376,13 @@ def test_cli_usage_validation(tmp_path, capsys):
                            (("--g", "2"), "--g needs --mu")):
         assert run_cli(*stretched, *extra) == 2
         assert f"error: usage: {message}" in capsys.readouterr().err
+    # the stretched model's parameters are rejected, not ignored, elsewhere
+    for model, extra in (("power", ("--mu", "7")), ("factorial", ("--g", "2")),
+                         ("factorial-egf", ("--sigma", "0.375"))):
+        assert run_cli("analyze", "--input", "x", "--model", model,
+                       "--output", "y", *extra) == 2
+        assert ("error: usage: --mu, --g and --sigma apply only to --model "
+                "stretched") in capsys.readouterr().err
     for bad in ("0", "-5"):
         assert run_cli("extend", "--input", "x", "--output", "y",
                        "--predict", bad) == 2

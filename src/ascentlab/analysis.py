@@ -105,11 +105,19 @@ def _pairwise(x, f) -> RealSeries:
     return RealSeries(out, first_index=x.first_index + 1, dps=x.dps)
 
 
+def _log_term(n, v):
+    """log c_n, at the caller's precision, of a term that must be positive."""
+    if v <= 0:
+        raise ValueError(f"non-positive term at index {n} has no real log")
+    return mpmath.log(v)
+
+
 def _logs(c, dps) -> RealSeries:
     """log c_n at the working precision, each c_n rounded to it first."""
     d = working_dps(c, dps=dps)
     with mpmath.workdps(d):
-        return RealSeries([mpmath.log(mpf(v)) for v in c.values], c.first_index, d)
+        return RealSeries([_log_term(n, mpf(v)) for n, v in zip(c.indices(), c.values)],
+                          c.first_index, d)
 
 
 def _quotients(ns, nums, dens, exact, dps) -> RealSeries:
@@ -342,7 +350,7 @@ def fit_stirling_log(c, m, dps=None) -> LinearFitWindow:
         for k in range(m - 2, m + 2):
             lk = mpmath.log(k)
             rows.append([k * lk, mpf(k), lk, mpf(1)])
-            rhs.append(mpmath.log(to_mpf(c.at(k), d)))
+            rhs.append(_log_term(k, to_mpf(c.at(k), d)))
         return _solve_window(rows, rhs, m, "m")
 
 

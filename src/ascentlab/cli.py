@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import mpmath
@@ -48,7 +49,10 @@ def cmd_enumerate(args):
         return _fail("cap-exceeded", str(exc))
     except ValueError as exc:
         return _fail("usage", str(exc), 2)
-    aio.write_bfile(args.output, series)
+    try:
+        aio.write_bfile(args.output, series)
+    except OSError as exc:
+        return _fail("write", str(exc))
     return 0
 
 
@@ -111,6 +115,8 @@ def cmd_analyze(args):
     else:
         if args.sigma is None:
             args.sigma = STRETCHED_SIGMA
+        if not all(math.isfinite(v) for v in (args.mu, args.g) if v is not None):
+            return _fail("usage", "mu and g must be finite", 2)
         if args.mu is not None and not args.mu > 0:
             return _fail("usage", "mu must be positive", 2)
         if not 0 < args.sigma < 1:
@@ -148,9 +154,12 @@ def cmd_analyze(args):
         return _fail("insufficient-terms", str(exc))
     except ValueError as exc:
         return _fail("analysis-failed", str(exc))
-    aio.write_trace_csv(args.output, cols, assumptions=assumptions, dps=dps)
-    aio.write_intercept_summary(args.output + ".summary.txt", summaries,
-                                assumptions=assumptions, dps=dps)
+    try:
+        aio.write_trace_csv(args.output, cols, assumptions=assumptions, dps=dps)
+        aio.write_intercept_summary(args.output + ".summary.txt", summaries,
+                                    assumptions=assumptions, dps=dps)
+    except OSError as exc:
+        return _fail("write", str(exc))
     return 0
 
 
@@ -185,9 +194,11 @@ def cmd_extend(args):
     except InsufficientTermsError as exc:
         return _fail("insufficient-terms", str(exc))
     except VanishingMultiplierError as exc:
-        aio.write_bfile(args.output, exact)
+        try:
+            aio.write_bfile(args.output, exact)
+        except OSError as werr:
+            return _fail("write", str(werr))
         return _fail("recurrence-stalled", str(exc))
-    aio.write_extended_bfile(args.output, exact, pred)
     diag = {
         "input_terms": loaded.n_exact,
         "predicted": args.predict,
@@ -203,9 +214,13 @@ def cmd_extend(args):
         "excluded": [[n, str(cfg.degrees), aio.format_real_sci(v, 8)]
                      for n, cfg, v in pred.excluded],
     }
-    with open(args.output + ".diag.json", "w") as fh:
-        json.dump(diag, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    try:
+        aio.write_extended_bfile(args.output, exact, pred)
+        with open(args.output + ".diag.json", "w") as fh:
+            json.dump(diag, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        return _fail("write", str(exc))
     return 0
 
 

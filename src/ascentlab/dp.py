@@ -4,13 +4,14 @@ pattern-avoiding families 000, 100, 110, 120, all with exact big integers.
 Two engine styles:
 
 * Layered sweeps (ascent, 100, polynomial 000): per-length layers of state
-  slices, memory bounded to two layers plus their prefix sums. A step
-  builds each new slice a from the prefix sums of old slices a-1, a and a+1
-  in a few whole-slice operations (list comprehensions for ascent, numpy
-  object-array gathers for 000), so no Python loop runs over a slice's
-  entries or columns. 100 keeps per-m blocks instead, in which old slices
-  a-1 and a are adjacent columns, so a step is plain slicing of each old
-  block's row prefix sums. Used where hundreds of terms are wanted.
+  slices. A step builds each new slice a from the prefix sums of old slices
+  a-1, a and a+1 in a few whole-slice operations (list comprehensions for
+  ascent, numpy object-array gathers for 000), so no Python loop runs over
+  a slice's entries or columns. 100 keeps per-m blocks instead, in which
+  old slices a-1 and a are adjacent columns, so a step is plain slicing of
+  each old block's row prefix sums. 000 and 100 take those sums in place
+  and drop each old slice or block once read, so a step holds about one
+  layer. Used where hundreds of terms are wanted.
 * Set-state engines (exponential 000, 110, 120): states carry a bit-set of
   letter values. Each pattern has one branch-free transition rule from a
   packed state key (see `_pack`) and a next letter to the child's key; it
@@ -93,17 +94,6 @@ def enumerate_ascent(n_terms: int) -> CoefficientSeries:
     return CoefficientSeries(terms, first_index=1)
 
 
-def _padded_cumsum(g):
-    """Row prefix sums of g under a zero row: out[r] = g[0] + ... + g[r-1].
-
-    Row 0 is zero, so a gather at column index -1 from row 0 (the K - 1 of
-    column 0 below, which wraps to the last column) reads 0.
-    """
-    out = np.zeros((g.shape[0] + 1, g.shape[1]), dtype=object)
-    np.cumsum(g, axis=0, out=out[1:])
-    return out
-
-
 def enumerate_100(n_terms: int) -> CoefficientSeries:
     """Counts of 100-avoiding ascent sequences, O(n^4) states.
 
@@ -174,18 +164,23 @@ def enumerate_000_polynomial(n_terms: int) -> CoefficientSeries:
                + sum_{i=K}^{min(l,a+1)} f(n-1, a,   i,   K+1)
                + sum_{i=max(K,l+1)}^{a+1} f(n-1, a+1, i, K+1)
 
-    Slice a is an (a+3) x (a+3) array [l+1, K]. With P, Q and U the
-    zero-padded prefix sums (`_padded_cumsum`) of slices a-1, a and a+1, an
-    entry with l < K reads
+    Slice a, at index a+2 of a list, is an (a+4) x (a+3) array [l+2, K]
+    whose row 0 is zero. A step prefix-sums each old slice down its rows in
+    place; with P, Q and U those of slices a-1, a and a+1 (row r sums the
+    entries with l+2 <= r, and a gather at K = 0 reads column -1 only from
+    the zero row), an entry with l < K reads
         P[l+1, K-1] - Q[l+1, K-1] + (Q[K, K-1] + U[a+3, K+1] - U[K+1, K+1])
     and one with l >= K reads
         Q[l+2, K+1] - U[l+2, K+1] + (P[K, K-1] + U[a+3, K+1] - Q[K+1, K+1]),
     each a gather plus a per-column constant, so a new slice takes two
-    gathers over its two triangles.
+    gathers over its two triangles. Old slice a-1 is dropped once new slice
+    a is built, so a step holds about one layer.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    layer = {a: np.ones((a + 3, a + 3), dtype=object) for a in range(-2, n_terms)}
+    layer = [np.ones((a + 4, a + 3), dtype=object) for a in range(-2, n_terms)]
+    for g in layer:
+        g[0] = 0
     # (K, l+1) for l < K, column by column, and (l+1, K) for l >= K, row by
     # row, so that each slice's entries are a prefix
     up_k, up_r = np.tril_indices(n_terms + 1)
@@ -193,25 +188,29 @@ def enumerate_000_polynomial(n_terms: int) -> CoefficientSeries:
     terms = [1]
     for step in range(1, n_terms):
         d = n_terms - 1 - step
-        pre = {a: _padded_cumsum(layer[a]) for a in range(-2, d + 2)}
-        new_layer = {-2: np.zeros((1, 1), dtype=object)}
+        old, layer = layer, [np.zeros((2, 1), dtype=object)]
+        # each old slice is summed as it is first read: summing all up front
+        # holds the same data but measured a higher peak RSS
+        for g in old[:2]:
+            np.cumsum(g, axis=0, out=g)
         for a in range(-1, d + 1):
             w = a + 3
-            P, Q, U = pre[a - 1], pre[a], pre[a + 1]
+            P, Q, U = old[a + 1:a + 4]
+            np.cumsum(U, axis=0, out=U)
             i = np.arange(w)
             top = U[w, 1:]                      # U[a+3, K+1], K = 0..a+2
             c_up = Q[i, i - 1] + top - U[i + 1, i + 1]
             c_lo = P[i[:-1], i[:-1] - 1] + top[:-1] - Q[i[1:], i[1:]]
-            g = np.empty((w, w), dtype=object)
+            g = np.zeros((w + 1, w), dtype=object)
             k = w * (w + 1) // 2
             r, K = up_r[:k], up_k[:k]
-            g[r, K] = P[r, K - 1] - Q[r, K - 1] + c_up[K]
+            g[r + 1, K] = P[r, K - 1] - Q[r, K - 1] + c_up[K]
             k = w * (w - 1) // 2
             r, K = lo_r[:k], lo_k[:k]
-            g[r, K] = Q[r + 1, K + 1] - U[r + 1, K + 1] + c_lo[K]
-            new_layer[a] = g
-        layer = new_layer
-        terms.append(int(layer[0][1, 1]))
+            g[r + 1, K] = Q[r + 1, K + 1] - U[r + 1, K + 1] + c_lo[K]
+            layer.append(g)
+            old[a + 1] = None
+        terms.append(int(layer[2][2, 1]))
     return CoefficientSeries(terms, first_index=1)
 
 

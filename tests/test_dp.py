@@ -186,6 +186,30 @@ def test_100_matches_its_recurrence():
         assert dp.enumerate_100(n).values == series[:n], n
 
 
+def test_000_matches_its_recurrence():
+    # the four range sums of enumerate_000_polynomial's docstring, read one
+    # state at a time into a dict; a = -2 admits no letters
+    memo = {}
+
+    def f(n, a, l, K):
+        if n == 0:
+            return 1
+        if a == -2:
+            return 0
+        key = (n, a, l, K)
+        if key not in memo:
+            k = n - 1
+            memo[key] = (sum(f(k, a - 1, i - 1, K - 1) for i in range(min(l, K - 1) + 1))
+                         + sum(f(k, a, i - 1, K - 1) for i in range(l + 1, K))
+                         + sum(f(k, a, i, K + 1) for i in range(K, min(l, a + 1) + 1))
+                         + sum(f(k, a + 1, i, K + 1) for i in range(max(K, l + 1), a + 2)))
+        return memo[key]
+
+    series = [f(n - 1, 0, 0, 1) for n in range(1, 31)]
+    for n in range(1, 31):
+        assert dp.enumerate_000_polynomial(n).values == series[:n], n
+
+
 SETSTATE_PREFIX_N = {dp.enumerate_000_exponential: 20, dp.enumerate_110: 20,
                      dp.enumerate_120: 30, dp.enumerate_120_exponential: 30}
 

@@ -331,6 +331,30 @@ def test_cli_analyze_error_prefixes(tmp_path, capsys):
                        "--output", str(out)) == 1
         assert prefix in capsys.readouterr().err
         assert not out.exists()
+    # the models that take logs of the terms reject a negative one
+    src.write_text("1 1\n2 -2\n3 5\n4 9\n5 20\n6 50\n")
+    for model in ("stretched", "factorial", "factorial-egf"):
+        assert run_cli("analyze", "--input", str(src), "--model", model,
+                       "--output", str(out)) == 1, model
+        err = capsys.readouterr().err
+        assert "error: analysis-failed: non-positive term at index 2" in err, model
+        assert not out.exists()
+
+
+def test_cli_write_error_prefix(tmp_path, capsys):
+    # an output in a missing directory fails after the work, under its own
+    # prefix and with no traceback
+    src = tmp_path / "geo.b"
+    aio.write_bfile(src, CoefficientSeries([2 ** n for n in range(1, 16)]))
+    out = str(tmp_path / "missing" / "out")
+    for argv in (("enumerate", "--pattern", "000", "--terms", "5"),
+                 ("analyze", "--input", str(src), "--model", "power"),
+                 ("extend", "--input", str(src), "--predict", "2",
+                  "--order", "1", "--degrees", "1,1")):
+        assert run_cli(*argv, "--output", out) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: write: ") and "missing" in err, argv[0]
+    assert not (tmp_path / "missing").exists()
 
 
 def test_cli_verify_quick(capsys):
@@ -373,7 +397,11 @@ def test_cli_usage_validation(tmp_path, capsys):
                            (("--sigma", "0"), "sigma must lie strictly between"),
                            (("--sigma", "0.5", "--mu", "7"),
                             "sigma 0.5 with --mu makes the ratio fit singular"),
-                           (("--g", "2"), "--g needs --mu")):
+                           (("--g", "2"), "--g needs --mu"),
+                           (("--mu", "inf"), "mu and g must be finite"),
+                           (("--mu", "7", "--g", "nan"), "mu and g must be finite"),
+                           (("--mu", "7", "--g", "inf"), "mu and g must be finite"),
+                           (("--mu", "7", "--g=-inf"), "mu and g must be finite")):
         assert run_cli(*stretched, *extra) == 2
         assert f"error: usage: {message}" in capsys.readouterr().err
     # the stretched model's parameters are rejected, not ignored, elsewhere

@@ -6,9 +6,10 @@ The ODE uses the operator t = z*d/dz:
 
     sum_{k=0}^{M} Q_k(z) * t^k F(z) = P(z)
 
-Fitting is fraction-free integer elimination (Bareiss), which yields the same
-exact rationals as elimination over fractions; root finding and prediction
-run at the working precision. Matching the first N coefficients
+Fitting is forward fraction-free elimination (Bareiss) and fraction-free back
+substitution over the integers, which yields the same exact rationals as
+Gauss-Jordan elimination over fractions; root finding and prediction run at
+the working precision. Matching the first N coefficients
 (N = L + sum(N_k + 1)) consumes N equations; one coefficient of Q_M is pinned
 to 1 to fix the scale. The coefficients are those of the series with its
 length-0 term `series.LENGTH_ZERO_COUNT` prepended as z^0.
@@ -113,58 +114,70 @@ def _full_coefficients(c: CoefficientSeries):
 
 
 def _solve_rational(rows, rhs):
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer system.
+    """Solve an integer system exactly by forward Bareiss elimination and
+    fraction-free back substitution.
 
-    Returns (solution, deficiency); free variables are set to zero. Raises on
-    inconsistency. Every entry stays an integer minor of the input, so each
-    division by the previous pivot is exact; at the end every pivot row has
-    the last pivot on its diagonal and each solved unknown is one reduced
-    Fraction(rhs, last pivot). Zero tests on minors agree with those on the
-    entries of elimination over fractions, so the first nonzero entry of a
-    column picks the same pivots.
+    Returns (solution, deficiency); free unknowns are set to zero. Raises on
+    inconsistency.
+
+    Elimination runs forward only: each pivot is the first nonzero entry of
+    its column at or below the pivot row, and only the rows below it are
+    updated (a row with a zero in the pivot column is rescaled). Every
+    updated entry is then a minor of the input, the pivot block so far
+    bordered by the entry's row and column, so each division by the previous
+    pivot is exact (Sylvester's identity).
+
+    Back substitution reads the pivot rows U. The last pivot `prev` is, up to
+    sign, the determinant of the pivot block, so by Cramer's rule each
+    X_c = prev * x_c is an integer and
+
+        X_c = (prev * b_r - sum_{c' > c} U[r][c'] * X_c') / U[r][c]
+
+    divides exactly; x_c is the reduced Fraction(X_c, prev).
+
+    The result is that of Gauss-Jordan over fractions with the same pivot
+    choice: below each pivot, Gauss-Jordan holds these minors divided by the
+    previous pivot, so the same entries are zero. The pivots, the deficiency
+    and the inconsistency test therefore agree, and both solutions are the
+    unique solution of the pivot block with free unknowns zero.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     m = [list(r) + [v] for r, v in zip(rows, rhs)]
     pivots = []
     prev = 1
-    pr = 0
     for pc in range(ncols):
-        pivot = None
-        for r in range(pr, nrows):
-            if m[r][pc] != 0:
-                pivot = r
-                break
+        pr = len(pivots)
+        if pr == nrows:
+            break
+        pivot = next((r for r in range(pr, nrows) if m[r][pc] != 0), None)
         if pivot is None:
             continue
         m[pr], m[pivot] = m[pivot], m[pr]
         row = m[pr]
         pv = row[pc]
-        tail = row[pc:]
-        # columns left of pc are never read again, so they are not rescaled
-        for r in range(nrows):
-            if r == pr:
-                continue
-            other = m[r]
+        # column pc below the pivot, and every column left of it, is never
+        # read again, so only columns right of pc are updated
+        tail = row[pc + 1:]
+        for other in m[pr + 1:]:
             f = other[pc]
             if f != 0:
-                other[pc:] = [(pv * x - f * y) // prev
-                              for x, y in zip(other[pc:], tail)]
+                other[pc + 1:] = [(pv * x - f * y) // prev
+                                  for x, y in zip(other[pc + 1:], tail)]
             elif pv != prev:
-                other[pc:] = [pv * x // prev for x in other[pc:]]
+                other[pc + 1:] = [pv * x // prev for x in other[pc + 1:]]
         prev = pv
         pivots.append(pc)
-        pr += 1
-        if pr == nrows:
-            break
-    for r in range(pr, nrows):
-        if m[r][ncols] != 0:
-            raise RankDeficientError("inconsistent fitting system",
-                                     deficiency=ncols - len(pivots))
-    sol = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = Fraction(m[r][ncols], prev)
-    return sol, ncols - len(pivots)
+    rank = len(pivots)
+    if any(m[r][ncols] != 0 for r in range(rank, nrows)):
+        raise RankDeficientError("inconsistent fitting system",
+                                 deficiency=ncols - rank)
+    scaled = [0] * ncols          # X_c = prev * x_c; free unknowns stay 0
+    for r in reversed(range(rank)):
+        row = m[r]
+        acc = prev * row[ncols] - sum(row[c] * scaled[c] for c in pivots[r + 1:])
+        scaled[pivots[r]] = acc // row[pivots[r]]
+    return [Fraction(v, prev) for v in scaled], ncols - rank
 
 
 def fit_da(c: CoefficientSeries, cfg: DAConfig) -> DifferentialApproximant:

@@ -132,6 +132,10 @@ def cmd_analyze(args):
     except (OSError, ValueError) as exc:
         return _fail("parse", str(exc))
     real = loaded.exact if not loaded.approx else loaded.combined_real(dps)
+    # a count is positive: every model divides by the terms or takes logs
+    bad = next((n for n, v in zip(real.indices(), real.values) if v <= 0), None)
+    if bad is not None:
+        return _fail("analysis-failed", f"non-positive term at index {bad}")
     assumptions = {"model": args.model, "precision": dps,
                    "input_terms_exact": loaded.n_exact,
                    "input_terms_predicted": len(loaded.approx)}

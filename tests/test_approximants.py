@@ -4,6 +4,7 @@ extension, ensemble aggregation."""
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -12,11 +13,14 @@ from mpmath import mpf
 
 from ascentlab import approximants as ap
 from ascentlab import dp
+from ascentlab import io as aio
 from ascentlab.errors import (AllFitsFailedError, InsufficientTermsError,
                               RankDeficientError, VanishingMultiplierError)
 from ascentlab.series import CoefficientSeries
 
 mpmath.mp.dps = 60
+
+REF_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
 
 
 def catalan_series(n):
@@ -147,6 +151,48 @@ def test_integer_solve_matches_fraction_reference(system):
     assert got == _outcome(_fraction_gauss_jordan, rows, rhs)
     if got[0] != "inconsistent":
         assert all(isinstance(v, Fraction) for v in got[0])
+
+
+def _big(rng, bits):
+    return rng.getrandbits(bits) - (1 << (bits - 1))
+
+
+def _low_rank(rng, nrows, ncols, rank, bits):
+    """B*C of the given rank, entries of about `bits` bits."""
+    b_ = [[_big(rng, bits // 2) for _ in range(rank)] for _ in range(nrows)]
+    c_ = [[_big(rng, bits // 2) for _ in range(ncols)] for _ in range(rank)]
+    return [[sum(b_[i][k] * c_[k][j] for k in range(rank)) for j in range(ncols)]
+            for i in range(nrows)]
+
+
+def test_integer_solve_matches_fraction_reference_at_da_scale():
+    # DA-sized systems with entries of a few hundred bits. The full-rank one
+    # is zero below a band, so rows with a zero in the pivot column are
+    # rescaled; the other two have free unknowns, and the last one a
+    # right-hand side outside the column space
+    rng = random.Random(14)
+    full = [[_big(rng, 256) if i <= j + 3 else 0 for j in range(24)]
+            for i in range(26)]
+    deficient = _low_rank(rng, 27, 25, 20, 256)
+    inconsistent = _low_rank(rng, 26, 24, 19, 256)
+    for rows, perturb, deficiency in ((full, 0, 0), (deficient, 0, 5),
+                                      (inconsistent, 1, 5)):
+        x = [_big(rng, 256) for _ in rows[0]]
+        rhs = [sum(a * v for a, v in zip(r, x)) for r in rows]
+        rhs[-1] += perturb
+        got = _outcome(ap._solve_rational, rows, rhs)
+        assert got == _outcome(_fraction_gauss_jordan, rows, rhs)
+        assert got[1] == deficiency
+        assert (got[0] == "inconsistent") == bool(perturb)
+
+
+def test_default_ensemble_fits_are_exact_on_000():
+    # every member of the CLI's ensemble fits the 000 n=60 reference prefix
+    # and reproduces each coefficient it matches
+    ref = aio.read_bfile(REF_DIR / "000.b").exact.truncate(60)
+    for cfg in ap.default_ensemble(44):
+        da = ap.fit_da(ref, cfg)
+        assert all(v == 0 for v in ap.fit_defects(da, ref)), cfg
 
 
 def test_fit_falls_back_to_leading_pin():

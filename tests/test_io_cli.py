@@ -320,10 +320,13 @@ def test_cli_extend_explicit_shape_claims_hold(tmp_path):
 
 
 def test_cli_analyze_error_prefixes(tmp_path, capsys):
-    # a zero term is not a shortage of terms; two terms are
+    # a zero term, exact or predicted, is not a shortage of terms, and is
+    # named by its own index; two terms are a shortage
     out = tmp_path / "out.csv"
     for text, prefix in (("1 1\n2 0\n3 5\n4 9\n5 20\n",
-                          "error: analysis-failed: zero divisor at index 3"),
+                          "error: analysis-failed: non-positive term at index 2"),
+                         ("1 1\n2 2\n3 5\n4 9\n5 20\n6 ~0.0 3\n",
+                          "error: analysis-failed: non-positive term at index 6"),
                          ("1 1\n2 2\n", "error: insufficient-terms: need at least")):
         src = tmp_path / "s.b"
         src.write_text(text)
@@ -331,9 +334,9 @@ def test_cli_analyze_error_prefixes(tmp_path, capsys):
                        "--output", str(out)) == 1
         assert prefix in capsys.readouterr().err
         assert not out.exists()
-    # the models that take logs of the terms reject a negative one
+    # every model rejects a negative term
     src.write_text("1 1\n2 -2\n3 5\n4 9\n5 20\n6 50\n")
-    for model in ("stretched", "factorial", "factorial-egf"):
+    for model in ("power", "stretched", "factorial", "factorial-egf"):
         assert run_cli("analyze", "--input", str(src), "--model", model,
                        "--output", str(out)) == 1, model
         err = capsys.readouterr().err

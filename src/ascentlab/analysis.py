@@ -128,11 +128,8 @@ def _quotients(ns, nums, dens, exact, dps) -> RealSeries:
         for n, num, den in zip(ns, nums, dens):
             if den == 0:
                 raise ValueError(f"zero divisor at index {n}")
-            if exact:
-                q = Fraction(num, den)
-                out.append(mpf(q.numerator) / mpf(q.denominator))
-            else:
-                out.append(mpf(num) / mpf(den))
+            out.append(to_mpf(Fraction(num, den), dps) if exact
+                       else mpf(num) / mpf(den))
     return RealSeries(out, first_index=ns[0], dps=dps)
 
 

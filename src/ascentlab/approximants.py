@@ -8,11 +8,15 @@ The ODE uses the operator t = z*d/dz:
 
 Fitting is forward fraction-free elimination (Bareiss) and fraction-free back
 substitution over the integers, which yields the same exact rationals as
-Gauss-Jordan elimination over fractions; root finding and prediction run at
-the working precision. Matching the first N coefficients
+Gauss-Jordan elimination over fractions. Matching the first N coefficients
 (N = L + sum(N_k + 1)) consumes N equations; one coefficient of Q_M is pinned
 to 1 to fix the scale. The coefficients are those of the series with its
 length-0 term `series.LENGTH_ZERO_COUNT` prepended as z^0.
+
+The recurrence that extends the series runs on the integer numerators of Q_k
+and P over their common denominator, so each predicted term costs one
+division, exact or at the working precision; root finding runs at the
+working precision.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from mpmath import mpf
 
 from .errors import (AllFitsFailedError, InsufficientTermsError,
                      RankDeficientError, VanishingMultiplierError)
-from .series import CoefficientSeries, RealSeries, DEFAULT_DPS, LENGTH_ZERO_COUNT
+from .series import (CoefficientSeries, RealSeries, DEFAULT_DPS, LENGTH_ZERO_COUNT,
+                     to_mpf)
 
 # Ensemble values more than this many median absolute deviations from the
 # per-index median are excluded as outliers.
@@ -86,25 +91,25 @@ class DifferentialApproximant:
         return len(self.qs) - 1
 
 
-def _integer_qs(qs):
-    """(den, nums): the common denominator of qs and the integer numerators
-    of every coefficient over it."""
-    den = math.lcm(*(v.denominator for q in qs for v in q))
-    return den, [[v.numerator * (den // v.denominator) for v in q] for q in qs]
+def _integer_recurrence(da):
+    """(den, qs, p): the common denominator of Q_0..Q_M and P, and the
+    integer numerators of their coefficients over it."""
+    polys = da.qs + [da.p]
+    den = math.lcm(*(v.denominator for q in polys for v in q))
+    nums = [[v.numerator * (den // v.denominator) for v in q] for q in polys]
+    return den, nums[:-1], nums[-1]
 
 
-def _recurrence_row(den, nums, m):
-    """Multipliers (A(m), [(j, T_j(m))...]) of the z^m matching equation:
-    A(m)*c_m + sum_j T_j(m)*c_{m-j} = p_m where T_j(m) = sum_k q_kj (m-j)^k.
+def _recurrence_row(nums, m):
+    """Integer multipliers [A(m), T_1(m), ..., T_J(m)], J = min(m, max deg),
+    of the z^m matching equation scaled by the common denominator:
 
-    `den` and `nums` come from `_integer_qs`; each multiplier is one reduced
-    Fraction over that common denominator."""
-    def multiplier(j):
-        return Fraction(sum(q[j] * (m - j) ** k
-                            for k, q in enumerate(nums) if j < len(q)), den)
+        A(m)*c_m + sum_j T_j(m)*c_{m-j} = P_m,  T_j(m) = sum_k q_kj (m-j)^k
 
+    with A = T_0. `nums` are the Q numerators from `_integer_recurrence`."""
     maxdeg = max(len(q) for q in nums) - 1
-    return multiplier(0), [(j, multiplier(j)) for j in range(1, maxdeg + 1)]
+    return [sum(q[j] * (m - j) ** k for k, q in enumerate(nums) if j < len(q))
+            for j in range(min(maxdeg, m) + 1)]
 
 
 def _full_coefficients(c: CoefficientSeries):
@@ -243,44 +248,32 @@ def fit_defects(da: DifferentialApproximant, c: CoefficientSeries) -> list:
     """Exact defects of the matching equations on the first N coefficients;
     all zero for a faithful fit."""
     coeffs = _full_coefficients(c)
-    den, nums = _integer_qs(da.qs)
+    den, qs, p = _integer_recurrence(da)
     out = []
-    L = da.config.inhomog_degree
     for m in range(da.config.matched_terms):
-        a, others = _recurrence_row(den, nums, m)
-        total = a * coeffs[m]
-        for j, t in others:
-            if 0 <= m - j:
-                total += t * coeffs[m - j]
-        total -= da.p[m] if 0 <= m <= L else 0
-        out.append(total)
+        total = sum(t * coeffs[m - j] for j, t in enumerate(_recurrence_row(qs, m)))
+        out.append(Fraction(total - (p[m] if m < len(p) else 0), den))
     return out
 
 
 def _extend_values(da, coeffs, count, exact, dps):
-    """Continue the sequence `coeffs` by `count` values using the recurrence:
-    exact Fractions, or mpf values at `dps` with each Fraction multiplier
-    rounded as numerator / denominator."""
-    L = da.config.inhomog_degree
-    den, nums = _integer_qs(da.qs)
-    conv = Fraction if exact else (lambda q: mpf(q.numerator) / mpf(q.denominator))
+    """Continue the sequence `coeffs` by `count` values using the integer
+    recurrence: the multiplier terms are subtracted from P_m and the result
+    is divided once by A(m), to an exact Fraction or to an mpf at `dps`."""
+    _, qs, p = _integer_recurrence(da)
     known = list(coeffs)
-    out = []
     start = len(known)
     with mpmath.workdps(dps):
         for m in range(start, start + count):
-            a, others = _recurrence_row(den, nums, m)
+            a, *ts = _recurrence_row(qs, m)
             if a == 0:
                 raise VanishingMultiplierError(
-                    f"recurrence multiplier vanishes at index {m}", m, out)
-            acc = conv(da.p[m] if 0 <= m <= L else 0)
-            for j, t in others:
-                if m - j >= 0 and t != 0:
-                    acc -= conv(t) * known[m - j]
-            val = acc / conv(a)
-            known.append(val)
-            out.append(val)
-    return out
+                    f"recurrence multiplier vanishes at index {m}", m, known[start:])
+            acc = p[m] if m < len(p) else 0
+            for j, t in enumerate(ts, 1):
+                acc -= t * known[m - j]
+            known.append(Fraction(acc, a) if exact else mpf(acc) / a)
+    return known[start:]
 
 
 def recurrence_extend(da: DifferentialApproximant, c: CoefficientSeries,
@@ -303,11 +296,9 @@ def _poly_mpf(coeffs, dps, scale):
 
     Polynomials entering a ratio must share one scale or the ratio changes.
     """
-    with mpmath.workdps(dps):
-        if scale == 0:
-            return [mpf(0) for _ in coeffs]
-        return [mpf((v / scale).numerator) / mpf((v / scale).denominator)
-                for v in coeffs]
+    if scale == 0:
+        return [mpf(0) for _ in coeffs]
+    return [to_mpf(v / scale, dps) for v in coeffs]
 
 
 def _polyval(coeffs, z):

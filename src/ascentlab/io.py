@@ -9,6 +9,7 @@ agreed-digit count, and readers keep the two groups separate.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import mpmath
@@ -74,10 +75,9 @@ def read_bfile(path, dps=DEFAULT_DPS) -> LoadedSeries:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            try:
-                n = int(parts[0])
-            except (ValueError, IndexError):
+            if not re.fullmatch(r"[0-9]+", parts[0]):
                 raise ValueError(f"parse error at line {lineno}: bad index field")
+            n = int(parts[0])
             if n != expected:
                 raise ValueError(
                     f"parse error at line {lineno}: expected index {expected}, got {n}")
@@ -87,23 +87,21 @@ def read_bfile(path, dps=DEFAULT_DPS) -> LoadedSeries:
             if len(parts) > (3 if predicted else 2):
                 raise ValueError(f"parse error at line {lineno}: trailing fields")
             if predicted:
-                try:
-                    value = mpf(parts[1][1:])
-                    digits = int(parts[2]) if len(parts) == 3 else None
-                except ValueError:
+                value = parts[1][1:]
+                digits = parts[2] if len(parts) == 3 else None
+                # a plain decimal or scientific literal, as format_real_sci writes
+                if not (re.fullmatch(r"-?[0-9]+(\.[0-9]*)?([eE][-+]?[0-9]+)?", value)
+                        and re.fullmatch(r"[0-9]+", digits or "0")):
                     raise ValueError(
                         f"parse error at line {lineno}: bad predicted value or digit count")
-                if not mpmath.isfinite(value):
-                    raise ValueError(f"parse error at line {lineno}: non-finite predicted value")
-                approx.append((n, value, digits))
+                approx.append((n, mpf(value), None if digits is None else int(digits)))
             else:
                 if approx:
                     raise ValueError(
                         f"parse error at line {lineno}: exact term after predicted terms")
-                try:
-                    exact.append(int(parts[1]))
-                except ValueError:
+                if not re.fullmatch(r"-?[0-9]+", parts[1]):
                     raise ValueError(f"parse error at line {lineno}: bad integer value")
+                exact.append(int(parts[1]))
             expected += 1
     if not exact:
         raise ValueError("parse error: no exact terms")

@@ -1,6 +1,7 @@
 """Differential approximants: exact fits, singularity extraction, series
 extension, ensemble aggregation."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from ascentlab import dp
 from ascentlab import io as aio
 from ascentlab.errors import (AllFitsFailedError, InsufficientTermsError,
                               RankDeficientError, VanishingMultiplierError)
-from ascentlab.series import CoefficientSeries
+from ascentlab.series import CoefficientSeries, to_mpf
 
 mpmath.mp.dps = 60
 
@@ -193,6 +194,44 @@ def test_default_ensemble_fits_are_exact_on_000():
     for cfg in ap.default_ensemble(44):
         da = ap.fit_da(ref, cfg)
         assert all(v == 0 for v in ap.fit_defects(da, ref)), cfg
+
+
+def _fit_000_inhomogeneous():
+    ref = aio.read_bfile(REF_DIR / "000.b").exact.truncate(60)
+    return ref, ap.fit_da(ref, ap.DAConfig(order=1, degrees=(20, 20), inhomog_degree=1))
+
+
+def test_fit_defects_detect_a_wrong_fit():
+    # equation m reads sum_kj q_kj (m-j)^k c_{m-j} - p_m = defect_m, so a
+    # shift of p_k moves defect k alone, and a shift of q_0j moves every
+    # defect m >= j by the shift times c_{m-j}
+    ref, da = _fit_000_inhomogeneous()
+    coeffs = [1] + ref.values
+    delta = Fraction(1, 7)
+    n_eq = da.config.matched_terms
+    for k in range(len(da.p)):
+        p = list(da.p)
+        p[k] += delta
+        wrong = dataclasses.replace(da, p=p)
+        assert ap.fit_defects(wrong, ref) == [-delta if m == k else 0 for m in range(n_eq)]
+    j = 3
+    q0 = list(da.qs[0])
+    q0[j] += delta
+    wrong = dataclasses.replace(da, qs=[q0] + da.qs[1:])
+    assert ap.fit_defects(wrong, ref) == [delta * coeffs[m - j] if m >= j else 0
+                                          for m in range(n_eq)]
+
+
+def test_real_extension_matches_exact():
+    # the two paths share the integer recurrence and differ only in the
+    # final division of each term
+    ref, da = _fit_000_inhomogeneous()
+    real = ap.recurrence_extend(da, ref, 10, dps=60)
+    exact = ap.recurrence_extend_exact(da, ref, 10)
+    assert real.first_index == 61 and len(exact) == 10
+    for r, e in zip(real.values, exact):
+        e = to_mpf(e, 60)
+        assert abs(r - e) <= abs(e) * mpf(10) ** -55
 
 
 def test_fit_falls_back_to_leading_pin():

@@ -25,6 +25,7 @@ REF_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
 # Outputs pinned byte for byte, each written by the CLI from a prefix of a
 # reference series (`head -n N perfbench/ref/P.b > P.b`):
 #   extend_P_nN.b (+ .diag.json): `extend --input P.b --predict 20`;
+#   extend_P_nN_p100.b (+ .diag.json): the same with `--precision 100`;
 #   analyze_M_P_nN.csv (+ .summary.txt): `analyze --input P.b --model M`, with
 #   `--mu 7.2958969 --g 2` for the stretched model; the input of
 #   analyze_M_extend_000_n60.csv is the extended file extend_000_n60.b.
@@ -76,7 +77,11 @@ def test_bfile_parse_errors(tmp_path):
     # malformed predicted terms and trailing fields name their line too
     for text, line in (("1 1\n2 ~abc 3\n", 2), ("1 1\n2 ~2.5 x\n", 2),
                        ("1 1 junk\n", 1), ("1 1\n2 ~2.5 3 junk\n", 2),
-                       ("1 1\n2 ~nan 3\n", 2), ("1 1\n2 ~inf\n", 2)):
+                       ("1 1\n2 ~nan 3\n", 2), ("1 1\n2 ~inf\n", 2),
+                       # int() and mpf() accept these; a b-file field does not
+                       ("1 1\n2 2_0\n", 2), ("1 1\n2 1\n3 1\n4 \u0663\n", 4),
+                       ("0_1 1\n", 1), ("1 1\n2 1\n3 ~1_0 3\n", 3),
+                       ("1 1\n2 ~2.5 3_0\n", 2)):
         p.write_text(text)
         with pytest.raises(ValueError, match=f"^parse error at line {line}: "):
             aio.read_bfile(p)
@@ -153,15 +158,19 @@ def test_cli_every_engine_matches_reference(tmp_path):
         assert out.read_bytes() == want, (pattern, algo)
 
 
-@pytest.mark.parametrize("pattern,n", [("120", 30), ("000", 60)])
-def test_cli_extend_matches_golden(tmp_path, pattern, n):
+@pytest.mark.parametrize("pattern,n,precision", [("120", 30, None), ("000", 60, None),
+                                                  ("000", 60, 100)],
+                         ids=["120-30", "000-60", "000-60-p100"])
+def test_cli_extend_matches_golden(tmp_path, pattern, n, precision):
     src = tmp_path / f"{pattern}.b"
     src.write_bytes(b"".join((REF_DIR / f"{pattern}.b").read_bytes()
                              .splitlines(keepends=True)[:n]))
     out = tmp_path / "ext.b"
+    extra = ("--precision", str(precision)) if precision else ()
     assert run_cli("extend", "--input", str(src), "--output", str(out),
-                   "--predict", "20") == 0
-    golden = GOLDEN_DIR / f"extend_{pattern}_n{n}.b"
+                   "--predict", "20", *extra) == 0
+    suffix = f"_p{precision}" if precision else ""
+    golden = GOLDEN_DIR / f"extend_{pattern}_n{n}{suffix}.b"
     assert out.read_bytes() == golden.read_bytes()
     assert (Path(f"{out}.diag.json").read_bytes()
             == Path(f"{golden}.diag.json").read_bytes())

@@ -236,12 +236,8 @@ def fit_da(c: CoefficientSeries, cfg: DAConfig) -> DifferentialApproximant:
         full = sol[:pin_index] + [Fraction(1)] + sol[pin_index:]
         qs = [full[offsets[k]: offsets[k] + cfg.degrees[k] + 1] for k in range(M + 1)]
         p = full[p_off:]
-        if all(v == 0 for v in qs[M]):
-            raise RankDeficientError("fitted Q_M is identically zero",
-                                     deficiency=deficiency)
         return DifferentialApproximant(qs=qs, p=p, config=cfg,
                                        deficiency=deficiency, pinned=pin_name)
-    raise RankDeficientError("no consistent normalization", deficiency=None)
 
 
 def fit_defects(da: DifferentialApproximant, c: CoefficientSeries) -> list:

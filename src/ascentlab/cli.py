@@ -13,8 +13,6 @@ import json
 import math
 import sys
 
-import mpmath
-
 from . import analysis as an
 from . import approximants as ap
 from . import dp
@@ -22,8 +20,7 @@ from . import io as aio
 from . import sequences as sq
 from . import verify as ver
 from .errors import (AllFitsFailedError, CapExceededError,
-                     InsufficientTermsError, RankDeficientError,
-                     VanishingMultiplierError)
+                     InsufficientTermsError)
 from .series import DEFAULT_DPS
 
 MODELS = ("power", "stretched", "factorial", "factorial-egf")
@@ -191,18 +188,14 @@ def cmd_extend(args):
     exact = loaded.exact
     if cfgs is None:
         cfgs = ap.default_ensemble(min(loaded.n_exact, 44))
+        if len(cfgs) < 3:
+            return _fail("insufficient-terms",
+                         f"{loaded.n_exact} exact terms give {len(cfgs)} default "
+                         "approximants; need >= 3")
     try:
         pred = ap.predict_ensemble(exact, cfgs, args.predict, dps=dps)
     except AllFitsFailedError as exc:
         return _fail("fit-failed", str(exc))
-    except InsufficientTermsError as exc:
-        return _fail("insufficient-terms", str(exc))
-    except VanishingMultiplierError as exc:
-        try:
-            aio.write_bfile(args.output, exact)
-        except OSError as werr:
-            return _fail("write", str(werr))
-        return _fail("recurrence-stalled", str(exc))
     diag = {
         "input_terms": loaded.n_exact,
         "predicted": args.predict,

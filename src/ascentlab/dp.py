@@ -601,9 +601,6 @@ class RepetitionReport:
     groups: dict                  # projected key -> Counter(value -> multiplicity)
     single_valued_fraction: float
 
-    def multi_valued_groups(self):
-        return {k: c for k, c in self.groups.items() if len(c) > 1}
-
 
 def cache_repetition_report(cache: MemoCache,
                             group_by=_cardinality_key) -> RepetitionReport:

@@ -79,18 +79,6 @@ def contains_pattern(seq, pattern) -> bool:
     return False
 
 
-def pattern_occurrences(seq, pattern) -> int:
-    """Number of occurrences (index sets) of pattern in seq. Exhaustive; meant
-    for short sequences."""
-    k = len(pattern)
-    count = 0
-    for idxs in combinations(range(len(seq)), k):
-        if all(_cmp(seq[i], seq[j]) == _cmp(pattern[a], pattern[b])
-               for (a, i), (b, j) in combinations(enumerate(idxs), 2)):
-            count += 1
-    return count
-
-
 def weak_reverse_complement(seq) -> tuple:
     """Reverse the sequence and flip each letter within [min, max].
 
@@ -102,22 +90,6 @@ def weak_reverse_complement(seq) -> tuple:
         raise ValueError("weak_reverse_complement requires a non-empty sequence")
     hi, lo = max(seq), min(seq)
     return tuple(hi + lo - v for v in reversed(seq))
-
-
-def direct_sum_concat(c1, c2) -> tuple:
-    """c1 followed by c2 shifted up by max(c1).
-
-    Both inputs must be ascent sequences; the result is one, and it avoids any
-    sum-indecomposable pattern both inputs avoid.
-    """
-    if not is_ascent_sequence(c1) or not is_ascent_sequence(c2):
-        raise ValueError("direct_sum_concat requires ascent sequences")
-    if not c1:
-        return tuple(c2)
-    if not c2:
-        return tuple(c1)
-    shift = max(c1)
-    return tuple(c1) + tuple(v + shift for v in c2)
 
 
 def ascent_sequences(length):
@@ -206,21 +178,21 @@ def brute_force_avoiders(pattern, n_terms, weak=False,
     Every avoider is reached by prefix extension, and a prefix is cut only
     when it contains the pattern or (weak) can no longer be completed to a
     weak ascent sequence of length <= n_terms; containment is inherited by
-    extensions, so no avoider is lost. Length-3 patterns run a bit-set DFS
-    (`_count_avoiders_3`, `_count_weak_avoiders_3`); other lengths re-test
-    each extension with `contains_pattern`. Shares no code with `dp`.
+    extensions, so no avoider is lost. Only length-3 patterns are counted,
+    by a bit-set DFS (`_count_avoiders_3`, `_count_weak_avoiders_3`) that
+    blocks letters as they are appended and never re-tests a prefix; any
+    other length raises ValueError. Shares no code with `dp`.
     Runs past ORACLE_CAP terms raise CapExceededError unless
     allow_over_cap, which warns instead.
     """
     pattern = parse_pattern(pattern)
+    if len(pattern) != 3:
+        raise ValueError(f"the oracle counts length-3 patterns only, got {pattern}")
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     check_cap("oracle run", n_terms, ORACLE_CAP, allow_over_cap)
-    if len(pattern) == 3:
-        counts = (_count_weak_avoiders_3(pattern, n_terms) if weak
-                  else _count_avoiders_3(pattern, n_terms))
-    else:
-        counts = _count_avoiders_generic(pattern, n_terms, weak)
+    counts = (_count_weak_avoiders_3(pattern, n_terms) if weak
+              else _count_avoiders_3(pattern, n_terms))
     return CoefficientSeries(counts[1:], first_index=1)
 
 
@@ -304,30 +276,3 @@ def _count_weak_avoiders_3(pattern, n_terms):
             rec(1, 0, first, first, 1 << first, 0)
     return counts
 
-
-def _count_avoiders_generic(pattern, n_terms, weak):
-    """Fallback for non-length-3 patterns: containment is re-checked on each
-    extension. Exponentially slower; intended for small lengths."""
-    counts = [0] * (n_terms + 1)
-
-    if not weak:
-        def rec(prefix, asc):
-            counts[len(prefix)] += 1
-            if len(prefix) == n_terms:
-                return
-            last = prefix[-1]
-            for x in range(asc + 2):
-                prefix.append(x)
-                if not contains_pattern(prefix, pattern):
-                    rec(prefix, asc + (1 if last < x else 0))
-                prefix.pop()
-
-        if not contains_pattern((0,), pattern):
-            rec([0], 0)
-        return counts
-
-    for k in range(1, n_terms + 1):
-        for seq in weak_ascent_sequences(k):
-            if not contains_pattern(seq, pattern):
-                counts[k] += 1
-    return counts

@@ -6,7 +6,7 @@ count is 1 by convention but lives outside the container (see LENGTH_ZERO_COUNT)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath

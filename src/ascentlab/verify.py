@@ -117,7 +117,7 @@ def run_checks(max_n=10) -> list:
 
     _, cache000 = dp.enumerate_with_cache("000", CACHE_TERMS)
     rep = dp.cache_repetition_report(cache000)
-    ok_pairs, n_pairs = bijection_lemma_pairs_equal(cache000, CACHE_TERMS)
+    ok_pairs, n_pairs = bijection_lemma_pairs_equal(cache000)
     check("bijection-lemma-pairs", ok_pairs, f"{n_pairs} pairs checked")
     _, cache110 = dp.enumerate_with_cache("110", CACHE_TERMS)
     rep110 = dp.cache_repetition_report(cache110)
@@ -128,13 +128,11 @@ def run_checks(max_n=10) -> list:
     return results
 
 
-def bijection_lemma_pairs_equal(cache, n_max):
+def bijection_lemma_pairs_equal(cache):
     """For every cached key and every i in S with i < l and i+1 not in S,
     the key with i replaced by i+1 must hold the same value."""
     checked = 0
     for (n, a, l, S) in list(cache.data):
-        if n > n_max:
-            continue
         for i in range(max(l, 0)):
             if (S >> i) & 1 and not (S >> (i + 1)) & 1 and i < l:
                 partner = (S & ~(1 << i)) | (1 << (i + 1))

@@ -153,7 +153,7 @@ def cache000_15():
 
 
 def test_criterion_5_bijection_lemma_pairs(cache000_15):
-    ok, checked = ver.bijection_lemma_pairs_equal(cache000_15, 14)
+    ok, checked = ver.bijection_lemma_pairs_equal(cache000_15)
     _report(5, ok, f"all {checked} provable swap pairs (i < l) value-equal at n<=14")
 
 

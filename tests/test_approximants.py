@@ -325,6 +325,17 @@ def test_ensemble_of_identical_configs_zero_spread():
                for v, n in zip(pred.values, range(15, 20)))
 
 
+def test_common_digits_need_one_sign_and_one_decade():
+    # agreed digits are a shared leading prefix: none across a sign change
+    # or a power of ten, however close the values
+    with mpmath.workdps(60):
+        assert ap._common_digits(mpf("-1e-30"), mpf("1e-30"), 55) == 0
+        assert ap._common_digits(mpf(0), mpf("1.5"), 55) == 0
+        assert ap._common_digits(mpf("9.9999999"), mpf("10.000001"), 55) == 0
+        assert ap._common_digits(mpf("123.45"), mpf("123.46"), 55) == 4
+        assert ap._common_digits(mpf("2.5"), mpf("2.5"), 55) == 55
+
+
 def test_ensemble_outlier_exclusion():
     # a deliberately corrupted member moves the reported mean by less than
     # the reported spread: the exclusion rule absorbs it

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -61,6 +63,9 @@ def test_bfile_roundtrip(tmp_path):
     loaded = aio.read_bfile(path)
     assert loaded.exact.values == series.values  # big integers survive exactly
     assert loaded.approx == []
+    # blank lines and comment lines are skipped wherever they stand
+    path.write_text("# c100\n1 1\n\n   \n# note\n2 2\n")
+    assert aio.read_bfile(path).exact.values == [1, 2]
 
 
 def test_bfile_parse_errors(tmp_path):
@@ -84,6 +89,12 @@ def test_bfile_parse_errors(tmp_path):
                        ("1 1\n2 ~2.5 3_0\n", 2)):
         p.write_text(text)
         with pytest.raises(ValueError, match=f"^parse error at line {line}: "):
+            aio.read_bfile(p)
+    for text, message in (("1 1\n2\n", "line 2: missing value"),
+                          ("1 1\n2 ~2.5 3\n3 7\n",
+                           "line 3: exact term after predicted terms")):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"^parse error at {message}$"):
             aio.read_bfile(p)
 
 
@@ -351,6 +362,44 @@ def test_cli_analyze_error_prefixes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "error: analysis-failed: non-positive term at index 2" in err, model
         assert not out.exists()
+    # a ratio equal to the given mu leaves the known-mu estimators nothing
+    # to divide by
+    src.write_text("".join(f"{n} {2 ** (n - 1)}\n" for n in range(1, 21)))
+    assert run_cli("analyze", "--input", str(src), "--model", "stretched",
+                   "--mu", "2", "--output", str(out)) == 1
+    assert ("error: analysis-failed: ratio equals mu exactly at index 3"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_extend_error_prefixes(tmp_path, capsys):
+    # each failure exits with its prefix and writes neither output file
+    asc = "".join(f"{n} {v}\n" for n, v in enumerate([1, 2, 5, 15, 53, 217], 1))
+    src = tmp_path / "s.b"
+    out = tmp_path / "out.b"
+    for text, extra, code, prefix in (
+            (asc, ("--order", "2", "--degrees", "2,x"), 2, "error: usage: "),
+            ("1 1\n2 x\n", (), 1, "error: parse: parse error at line 2: "),
+            (asc, ("--order", "3", "--degrees", "5,5,5,5"), 1,
+             "error: fit-failed: only 0 of 9 approximants fitted"),
+            # fewer than six terms leave the default ensemble short of three
+            # approximants: a shortage of terms, not a failure of the fits
+            ("1 1\n2 2\n3 5\n", (), 1, "error: insufficient-terms: 3 exact terms "
+             "give 0 default approximants; need >= 3"),
+            ("".join(asc.splitlines(keepends=True)[:5]), (), 1,
+             "error: insufficient-terms: 5 exact terms give 2 default "
+             "approximants; need >= 3")):
+        src.write_text(text)
+        assert run_cli("extend", "--input", str(src), "--output", str(out),
+                       "--predict", "2", *extra) == code, prefix
+        assert capsys.readouterr().err.startswith(prefix)
+        assert not out.exists() and not Path(f"{out}.diag.json").exists()
+    # six terms give four default approximants, and the series extends
+    src.write_text(asc)
+    assert run_cli("extend", "--input", str(src), "--output", str(out),
+                   "--predict", "2") == 0
+    assert len(json.loads(Path(f"{out}.diag.json").read_text())["configs"]) == 4
+    assert len(aio.read_bfile(out).approx) == 2
 
 
 def test_cli_write_error_prefix(tmp_path, capsys):
@@ -390,6 +439,11 @@ def test_cli_verify_series_file(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("verify", "--input", str(bad), "--pattern", "100") == 1
     assert "n=8" in capsys.readouterr().out
+    bad.write_text("1 1\n2 x\n")
+    assert run_cli("verify", "--input", str(bad), "--pattern", "100") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: parse: parse error at line 2: bad integer value\n"
+    assert captured.out == ""
 
 
 def test_cli_usage_validation(tmp_path, capsys):
@@ -451,6 +505,26 @@ def test_cli_usage_validation(tmp_path, capsys):
         run_cli("verify", "--input", str(tmp_path / "z.bf"), "--pattern", "201")
     assert exc.value.code == 2
     assert "invalid choice: '201'" in capsys.readouterr().err
+
+
+def test_cli_module_exit_codes_reach_the_shell(tmp_path):
+    # `python -m ascentlab.cli` hands main()'s return value to sys.exit
+    env = dict(os.environ)
+    src_dir = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    out = tmp_path / "c000.b"
+    for argv, code, stderr in (
+            (("enumerate", "--pattern", "000", "--terms", "5", "--output", str(out)),
+             0, ""),
+            (("analyze", "--input", str(tmp_path / "missing.b"), "--model", "power",
+              "--output", str(tmp_path / "t.csv")), 1, "error: parse: "),
+            (("enumerate", "--pattern", "000", "--terms", "0", "--output", str(out)),
+             2, "error: usage: terms must be at least 1")):
+        done = subprocess.run([sys.executable, "-m", "ascentlab.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == code, (argv, done.stderr)
+        assert done.stderr.startswith(stderr), (argv, done.stderr)
+    assert out.read_text() == "1 1\n2 2\n3 4\n4 10\n5 27\n"
 
 
 def test_trace_csv_format(tmp_path):

@@ -2,13 +2,45 @@
 
 import math
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ascentlab import sequences as sq
 from ascentlab.errors import CapExceededError
+
+
+def _cmp(a, b):
+    return (a > b) - (a < b)
+
+
+def pattern_occurrences(seq, pattern):
+    """Number of occurrences (index sets) of pattern in seq: the reference
+    that `contains_pattern` is checked against. Exhaustive; meant for short
+    sequences."""
+    count = 0
+    for idxs in combinations(range(len(seq)), len(pattern)):
+        if all(_cmp(seq[i], seq[j]) == _cmp(pattern[a], pattern[b])
+               for (a, i), (b, j) in combinations(enumerate(idxs), 2)):
+            count += 1
+    return count
+
+
+def direct_sum_concat(c1, c2):
+    """c1 followed by c2 shifted up by max(c1).
+
+    Both inputs must be ascent sequences; the result is one, and it avoids any
+    sum-indecomposable pattern both inputs avoid.
+    """
+    if not sq.is_ascent_sequence(c1) or not sq.is_ascent_sequence(c2):
+        raise ValueError("direct_sum_concat requires ascent sequences")
+    if not c1:
+        return tuple(c2)
+    if not c2:
+        return tuple(c1)
+    shift = max(c1)
+    return tuple(c1) + tuple(v + shift for v in c2)
 
 
 def test_ascent_count_examples():
@@ -53,7 +85,7 @@ def test_pattern_validation():
 
 def test_contains_pattern_examples():
     assert sq.contains_pattern((0, 1, 0, 2, 3, 1), (0, 0, 1))
-    assert sq.pattern_occurrences((0, 1, 0, 2, 3, 1), (0, 0, 1)) == 3
+    assert pattern_occurrences((0, 1, 0, 2, 3, 1), (0, 0, 1)) == 3
     assert sq.contains_pattern((0, 0, 0), (0, 0, 0))
     assert not sq.contains_pattern((0, 1, 2), (0, 0, 0))
     assert sq.contains_pattern((0, 1, 1, 0), (1, 1, 0))
@@ -85,7 +117,7 @@ def _dense(word):
        st.lists(st.integers(0, 3), max_size=4))
 def test_contains_pattern_matches_occurrence_count(seq, word):
     seq, pattern = tuple(seq), _dense(word)
-    assert sq.contains_pattern(seq, pattern) == (sq.pattern_occurrences(seq, pattern) > 0)
+    assert sq.contains_pattern(seq, pattern) == (pattern_occurrences(seq, pattern) > 0)
 
 
 def test_weak_reverse_complement():
@@ -108,10 +140,10 @@ def test_weak_reverse_complement_involution_properties():
 
 
 def test_direct_sum_concat():
-    assert sq.direct_sum_concat((0,), (0,)) == (0, 0)
-    assert sq.direct_sum_concat((0, 1), (0, 1)) == (0, 1, 1, 2)
+    assert direct_sum_concat((0,), (0,)) == (0, 0)
+    assert direct_sum_concat((0, 1), (0, 1)) == (0, 1, 1, 2)
     with pytest.raises(ValueError):
-        sq.direct_sum_concat((1, 0), (0,))
+        direct_sum_concat((1, 0), (0,))
 
 
 def test_direct_sum_preserves_avoidance_of_120():
@@ -125,7 +157,7 @@ def test_direct_sum_preserves_avoidance_of_120():
                 continue
             for c1 in pool[k1]:
                 for c2 in pool[k2]:
-                    out = sq.direct_sum_concat(c1, c2)
+                    out = direct_sum_concat(c1, c2)
                     assert sq.is_ascent_sequence(out)
                     assert not sq.contains_pattern(out, pat), (c1, c2)
 
@@ -151,15 +183,15 @@ def test_brute_force_closed_forms():
             [catalan(k) for k in range(1, 11)]
 
 
-def test_brute_force_generic_fallback_matches_fast_path():
+def test_brute_force_length_guard_and_single_term():
+    # the DFS oracles serve length-3 patterns only; a length-1 run is the
+    # single sequence 0 (or, weak, the single letter 0)
+    for bad in ("0", "01", "0120", (1, 0, 2, 0)):
+        with pytest.raises(ValueError, match="length-3 patterns only"):
+            sq.brute_force_avoiders(bad, 5)
     for pat in ("000", "120", "201"):
-        p = sq.parse_pattern(pat)
-        fast = sq.brute_force_avoiders(p, 8).values
-        slow = sq._count_avoiders_generic(p, 8, weak=False)[1:]
-        assert fast == slow
-        fastw = sq.brute_force_avoiders(p, 6, weak=True).values
-        sloww = sq._count_avoiders_generic(p, 6, weak=True)[1:]
-        assert fastw == sloww
+        assert sq.brute_force_avoiders(pat, 1).values == [1]
+        assert sq.brute_force_avoiders(pat, 1, weak=True).values == [1]
 
 
 LENGTH3_PATTERNS = sorted({_dense(w) for w in product(range(3), repeat=3)})

@@ -235,7 +235,9 @@ def sigma_local_gradient_known_mu(r: RealSeries, mu) -> RealSeries:
 
     def gradient(n, a, b):
         cur, prev = a / m - 1, b / m - 1
-        if cur == 0 or prev == 0:
+        if prev == 0:
+            raise ValueError(f"ratio equals mu exactly at index {n - 1}")
+        if cur == 0:
             raise ValueError(f"ratio equals mu exactly at index {n}")
         return 1 + ((mpmath.log(abs(cur)) - mpmath.log(abs(prev)))
                     / (mpmath.log(n) - mpmath.log(n - 1)))

@@ -264,7 +264,7 @@ def _extend_values(da, coeffs, count, exact, dps):
             a, *ts = _recurrence_row(qs, m)
             if a == 0:
                 raise VanishingMultiplierError(
-                    f"recurrence multiplier vanishes at index {m}", m, known[start:])
+                    f"recurrence multiplier vanishes at index {m}", m)
             acc = p[m] if m < len(p) else 0
             for j, t in enumerate(ts, 1):
                 acc -= t * known[m - j]

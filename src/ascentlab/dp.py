@@ -17,10 +17,11 @@ Two engine styles:
   packed state key (see `_pack`) and a next letter to the child's key; it
   takes a Python int or a uint64 array alike. One forward sweep,
   `_forward_series`, applies it to a whole layer of uint64 keys per letter
-  and sums equal children by sort and `reduceat`. Its one hook is an
-  optional canonical map over uint64 keys: applied to the distinct children
-  of each step, which are then merged again, it folds states with equal
-  counts into one (`_canonical_120`, the sorted-gap form of 120 states).
+  and sums equal children by sort and `reduceat`, once within each letter
+  and once across the letters. Its one hook is an optional canonical map
+  over uint64 keys: applied to the distinct children of each step, which
+  are then summed again, it folds states with equal counts into one
+  (`_canonical_120`, the sorted-gap form of 120 states).
   Weights are int64 while an exact bound proves the next layer's mass fits
   a machine word (`_WORD_LIMIT`), and exact Python ints in an object array
   from the first step where it might not. A memoized recursion through the
@@ -346,21 +347,22 @@ def _canonical_120(keys):
     return (t << l | 1) << 16 | keys & 0xFFFF
 
 
-def _merge(keys, weights):
-    """Replace the key and weight chunks in the two lists by one chunk: the
-    distinct keys in order and the summed weight of each."""
-    # each temporary is dropped once used: a merge can hold three layers
-    k, w = np.concatenate(keys), np.concatenate(weights)
+def _reduce(keys, weights):
+    """The distinct keys of the key chunks, in order, and the summed weight
+    of each from the weight chunks. Each list is emptied once joined, and a
+    single chunk is taken as it is, so no chunk outlives the join."""
+    k = np.concatenate(keys) if len(keys) > 1 else keys[0]
     keys.clear()
+    w = np.concatenate(weights) if len(weights) > 1 else weights[0]
     weights.clear()
+    # each temporary is dropped once used, which lowers the peak memory
     order = np.argsort(k, kind="stable")
     k = k[order]
     w = w[order]
     del order
     starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-    keys.append(k[starts])
-    del k
-    weights.append(np.add.reduceat(w, starts))
+    k = k[starts]
+    return k, np.add.reduceat(w, starts)
 
 
 def _sweep_step(rule, keys, weights, canonical=None):
@@ -368,12 +370,15 @@ def _sweep_step(rule, keys, weights, canonical=None):
 
     Parents come sorted by a (stably), and so do the children returned.
     Parents with a letter i (a+2 > i) are then a suffix, and each letter is
-    one rule call over that suffix. Children are merged into the new layer
-    whenever the pending ones reach the parent layer's size, which keeps
-    memory O(layer). A canonical map, if given, is applied once to the
-    distinct children, which are then merged again: mapping each pending
-    chunk before its merge costs more, because the raw chunks repeat keys
-    that the merge removes.
+    one rule call over that suffix, whose children are reduced on their own
+    to a run of distinct keys. The runs are then reduced once into the new
+    layer, so no summed key is sorted again. Measured on the step to length
+    n, the raw children are 12-16x the parent layer, and the runs sum to
+    2.1-3.5x it: 110 n=23, 287300 for 136032 parents; 000 n=21, 89776 for
+    34782; canonical 120 n=39, 47320 for 13417. A canonical map, if given,
+    is applied once to the new layer, which is then reduced again. Mapping
+    each run instead measured less memory at depth (201 MB against over
+    400 MB at 120 n=70) but took longer at n=33 (45 ms against 33 ms).
 
     A child that would set bit _S_BITS or above of S raises ValueError
     before it joins the layer. The only bit a child can add to S is its l
@@ -382,27 +387,19 @@ def _sweep_step(rule, keys, weights, canonical=None):
     """
     a2 = (keys >> 8 & 0xFF).astype(np.uint8)
     s = np.zeros_like(keys)
-    new_k, new_w = [], []
-    pending = 0
+    run_k, run_w = [], []
     for i in range(int(a2[-1])):
         lo = int(np.searchsorted(a2, i, side="right"))
-        kids = rule(keys[lo:], i, s[lo:])
-        if i >= _S_BITS and int((kids & 0xFF).max()) >= _S_BITS + 2:
+        k, w = _reduce([rule(keys[lo:], i, s[lo:])], [weights[lo:]])
+        if i >= _S_BITS and int((k & 0xFF).max()) >= _S_BITS + 2:
             raise ValueError(f"a child state sets bit {_S_BITS} or above of S, "
                              f"beyond the {_S_BITS}-bit sweep key")
-        new_k.append(kids)
-        new_w.append(weights[lo:])
-        pending += len(kids)
-        if pending >= len(keys):
-            _merge(new_k, new_w)
-            pending = 0
+        run_k.append(k)
+        run_w.append(w)
         s[lo:] = _next_s(keys[lo:] >> 16, i, s[lo:])
-    if pending:
-        _merge(new_k, new_w)
+    keys, weights = _reduce(run_k, run_w)
     if canonical is not None:
-        new_k[0] = canonical(new_k[0])
-        _merge(new_k, new_w)
-    (keys,), (weights,) = new_k, new_w
+        keys, weights = _reduce([canonical(keys)], [weights])
     order = np.argsort((keys >> 8 & 0xFF).astype(np.uint8), kind="stable")
     return keys[order], weights[order]
 
@@ -421,7 +418,7 @@ def _forward_series(variant, n_terms, canonical=None):
 
     Weights start as int64. Before each step, the layer's mass times its
     largest a+2 bounds the next layer's mass, and so every child weight and
-    every partial sum of a merge, all non-negative. The first time that
+    every partial sum of a reduce, all non-negative. The first time that
     bound reaches _WORD_LIMIT the weights become exact Python ints in an
     object array, and stay so for the rest of the run."""
     if n_terms < 1:

@@ -31,12 +31,11 @@ class InsufficientTermsError(ValueError):
 
 
 class VanishingMultiplierError(ArithmeticError):
-    """The recurrence multiplier vanished at some index; partial results attached."""
+    """The recurrence multiplier vanished at some index."""
 
-    def __init__(self, message, index, partial):
+    def __init__(self, message, index):
         super().__init__(message)
         self.index = index
-        self.partial = partial
 
 
 class AllFitsFailedError(RuntimeError):

@@ -165,6 +165,12 @@ def test_sigma_known_mu():
     rr = RealSeries([mpf(2) * (1 + 1 / mpmath.sqrt(n)) for n in range(2, 50)], 2, 60)
     sg2 = an.sigma_local_gradient_known_mu(rr, 2)
     assert abs(sg2.values[-1] - mpf("0.5")) < mpf("0.01")
+    # a ratio equal to mu is named by its own index, first or last
+    for k, n in ((0, 2), (-1, 49)):
+        vals = list(rr.values)
+        vals[k] = mpf(2)
+        with pytest.raises(ValueError, match=f"ratio equals mu exactly at index {n}$"):
+            an.sigma_local_gradient_known_mu(RealSeries(vals, 2, 60), 2)
 
 
 def test_mu1_estimator():

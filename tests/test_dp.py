@@ -332,6 +332,66 @@ def test_canonical_120_map_on_wide_keys(keys):
     assert canon.tolist() == [_sorted_gaps_120(k) for k in keys]
 
 
+def _dict_step(rule, layer, canonical=None):
+    """Reference sweep step on a {key: weight} dict: every child of every
+    parent from the scalar rule, equal keys summed, then mapped by
+    `canonical` and summed again."""
+    kids = {}
+    for key, w in layer.items():
+        s = 0
+        for i in range(key >> 8 & 0xFF):
+            kid = rule(key, i, s)
+            kids[kid] = kids.get(kid, 0) + w
+            s = dp._next_s(key >> 16, i, s)
+    if canonical is None:
+        return kids
+    out = {}
+    for key, w in kids.items():
+        c = canonical(key)
+        out[c] = out.get(c, 0) + w
+    return out
+
+
+# sweep -> (variant, canonical map of the engine, reference map)
+SWEEPS = {"000": ("000", None, None), "110": ("110", None, None),
+          "120": ("120", None, None),
+          "120-canonical": ("120", dp._canonical_120, _sorted_gaps_120)}
+
+
+@functools.cache
+def _dict_layers(sweep, n_terms=14):
+    """Every parent layer of a sweep of n_terms, built by `_dict_step`."""
+    variant, _, reference = SWEEPS[sweep]
+    layers = [{dp._pack(1, 0, 0): 1}]
+    while len(layers) < n_terms - 2:
+        layers.append(_dict_step(dp._RULES[variant], layers[-1], reference))
+    return layers
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_sweep_step_matches_dict_step(sweep, data):
+    # the whole next layer, not only its mass: the same distinct keys with
+    # the same summed weights, sorted by a, for int64 and exact weights
+    variant, canonical, reference = SWEEPS[sweep]
+    rule = dp._RULES[variant]
+    for layer in _dict_layers(sweep):
+        # parents sorted by a only, in no set order within an a
+        keys = sorted(layer, key=lambda k: k >> 8 & 0xFF)
+        for dtype, top in ((np.int64, 2 ** 40), (object, 2 ** 100)):
+            drawn = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=16))
+            weights = [drawn[j % len(drawn)] for j in range(len(keys))]
+            got_k, got_w = dp._sweep_step(rule, np.array(keys, dtype=np.uint64),
+                                          np.array(weights, dtype=dtype), canonical)
+            assert got_k.dtype == np.uint64 and got_w.dtype == np.dtype(dtype)
+            a2 = (got_k >> 8 & 0xFF).tolist()
+            assert a2 == sorted(a2)
+            want = _dict_step(rule, dict(zip(keys, weights)), reference)
+            assert len(got_k) == len(want)
+            assert dict(zip(got_k.tolist(), got_w.tolist())) == want
+
+
 def test_weights_switch_to_exact_ints_past_the_word_bound(monkeypatch):
     engines = {dp.enumerate_000_exponential: 16, dp.enumerate_110: 16,
                dp.enumerate_120: 24, dp.enumerate_120_exponential: 24}

@@ -367,7 +367,7 @@ def test_cli_analyze_error_prefixes(tmp_path, capsys):
     src.write_text("".join(f"{n} {2 ** (n - 1)}\n" for n in range(1, 21)))
     assert run_cli("analyze", "--input", str(src), "--model", "stretched",
                    "--mu", "2", "--output", str(out)) == 1
-    assert ("error: analysis-failed: ratio equals mu exactly at index 3"
+    assert ("error: analysis-failed: ratio equals mu exactly at index 2"
             in capsys.readouterr().err)
     assert not out.exists()
 

@@ -225,6 +225,8 @@ def cmd_verify(args):
     if (args.input is None) != (args.pattern is None):
         return _fail("usage", "--input and --pattern go together", 2)
     if args.input is not None:
+        if args.max_n is not None:
+            return _fail("usage", "--max-n applies only without --input", 2)
         try:
             loaded = aio.read_bfile(args.input)
         except (OSError, ValueError) as exc:
@@ -236,7 +238,7 @@ def cmd_verify(args):
         print(f"PASS series-file-comparison {loaded.n_exact} exact terms match")
         return 0
     try:
-        results = ver.run_checks(max_n=args.max_n)
+        results = ver.run_checks(max_n=10 if args.max_n is None else args.max_n)
     except ValueError as exc:
         return _fail("usage", str(exc), 2)
     width = max(len(r.name) for r in results)
@@ -251,7 +253,8 @@ def cmd_verify(args):
 
 
 def build_parser():
-    # the engine table's patterns and algorithms, plus the exhaustive oracle
+    # the engine table's patterns and algorithms, plus "brute": the oracle's
+    # forward sweep over avoiding prefixes (sequences.brute_force_avoiders)
     patterns = list(dict.fromkeys(pattern for pattern, _ in dp.ENGINES))
     algos = ["brute", *dict.fromkeys(algo for _, algo in dp.ENGINES)]
     p = argparse.ArgumentParser(prog="ascentlab",
@@ -290,7 +293,7 @@ def build_parser():
     px.set_defaults(func=cmd_extend)
 
     pv = sub.add_parser("verify", help="run the cross-check suite")
-    pv.add_argument("--max-n", type=int, default=10)
+    pv.add_argument("--max-n", type=int, help="largest length the oracles count; default 10")
     pv.add_argument("--input")
     pv.add_argument("--pattern", choices=patterns)
     pv.set_defaults(func=cmd_verify)

@@ -1,5 +1,6 @@
 """Cross-check suite behind the `verify` command: desk-scale consistency
-checks between the enumerators, the exhaustive oracles, closed forms, and
+checks between the enumerators, the brute-force oracles (forward sweeps
+over avoiding prefixes, `sequences.brute_force_avoiders`), closed forms, and
 the structural lemmas. Two engines merge set states, and each is checked
 against the raw sweep of its pattern: the polynomial 000 engine (S reduced
 to its size) and the canonical 120 engine (the gaps of S sorted, a merge

@@ -234,6 +234,16 @@ def test_oracle_equivalence_small():
         assert fn(11).values == sq.brute_force_avoiders(pat, 11).values, pat
 
 
+@pytest.mark.parametrize("pat", ["000", "100", "110", "120"])
+def test_oracle_equivalence_at_the_oracle_cap(pat):
+    want = sq.brute_force_avoiders(pat, sq.ORACLE_CAP).values
+    algos = [algo for p, algo in dp.ENGINES if p == pat]
+    assert "dp" in algos
+    for algo in algos:
+        got = dp.enumerate_avoiders(pat, sq.ORACLE_CAP, algorithm=algo).values
+        assert got == want, (pat, algo)
+
+
 def test_golden_000_prefix():
     assert dp.enumerate_000_polynomial(7).values == [1, 2, 4, 10, 27, 83, 277]
     assert dp.enumerate_000_exponential(7).values == [1, 2, 4, 10, 27, 83, 277]

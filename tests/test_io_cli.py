@@ -18,6 +18,7 @@ from ascentlab import analysis as an
 from ascentlab import cli
 from ascentlab import dp
 from ascentlab import io as aio
+from ascentlab import verify as ver
 from ascentlab.series import CoefficientSeries
 
 mpmath.mp.dps = 60
@@ -428,6 +429,15 @@ def test_cli_verify_quick(capsys):
         assert re.search(f"^PASS {line} *$", out, re.M), line
 
 
+def test_cli_verify_top_of_range(capsys):
+    top = max(ver.MAX_N_RANGE)
+    assert top == 14
+    assert run_cli("verify", "--max-n", str(top)) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert out.endswith("26/26 checks passed\n")
+
+
 def test_cli_verify_series_file(tmp_path, capsys):
     good = tmp_path / "good.bf"
     aio.write_bfile(good, dp.enumerate_100(12))
@@ -500,6 +510,14 @@ def test_cli_usage_validation(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "error: usage: max_n must be in 4..14" in captured.err
         assert "checks passed" not in captured.out
+    # --max-n sizes the suite only; with a series file it is rejected, not
+    # ignored, before the (missing) input is read
+    for value in ("4", "10", "14"):
+        assert run_cli("verify", "--input", str(tmp_path / "missing.b"),
+                       "--pattern", "120", "--max-n", value) == 2
+        captured = capsys.readouterr()
+        assert "error: usage: --max-n applies only without --input" in captured.err
+        assert "series-file-comparison" not in captured.out
     # patterns without an engine are rejected by argparse before any work
     with pytest.raises(SystemExit) as exc:
         run_cli("verify", "--input", str(tmp_path / "z.bf"), "--pattern", "201")

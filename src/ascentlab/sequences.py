@@ -16,6 +16,7 @@ relative order, equalities included.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 
 from .errors import check_cap
@@ -26,7 +27,7 @@ ORACLE_CAP = 15
 
 def ascent_count(seq) -> int:
     """Number of adjacent strictly-rising pairs."""
-    return sum(1 for a, b in zip(seq, seq[1:]) if a < b)
+    return sum(map(operator.lt, seq, seq[1:]))
 
 
 def is_ascent_sequence(seq) -> bool:
@@ -96,7 +97,7 @@ def weak_reverse_complement(seq) -> tuple:
     if not seq:
         raise ValueError("weak_reverse_complement requires a non-empty sequence")
     hi, lo = max(seq), min(seq)
-    return tuple(hi + lo - v for v in reversed(seq))
+    return tuple([hi + lo - v for v in reversed(seq)])
 
 
 def ascent_sequences(length):
@@ -157,8 +158,12 @@ class _BlockedLetters(dict):
 
     z is blocked iff some u in `seen` makes (u, x, z) an occurrence, read off
     the pattern's three `_cmp` relations, so `_cmp` stays the one definition
-    of the pattern. Entries depend only on (seen, x) and hold no counts; they are
-    filled on first use.
+    of the pattern. An entry is built from bit masks: `side[r]` holds the
+    letters v below `width` with _cmp(v, x) == r, the candidates u are
+    `seen & side[r01]`, and z must lie above the least of them, among them,
+    or below the greatest (by r02) and in `side[-r12]`. Entries depend only
+    on (seen, x) and hold no counts; they are filled on first use. Letters
+    must lie below `width`; a letter at or above it raises ValueError.
     """
 
     def __init__(self, pattern, width):
@@ -169,12 +174,35 @@ class _BlockedLetters(dict):
 
     def __missing__(self, key):
         seen, x = key
+        if x >= self.width:
+            raise ValueError(f"letter {x} outside the table's width {self.width}")
         r01, r02, r12 = self.relations
-        us = [u for u in range(self.width) if seen >> u & 1 and _cmp(u, x) == r01]
-        blocked = sum(1 << z for z in range(self.width) if _cmp(x, z) == r12
-                      and any(_cmp(u, z) == r02 for u in us))
+        full = (1 << self.width) - 1
+        side = {-1: (1 << x) - 1, 0: 1 << x, 1: full & -(1 << (x + 1))}
+        us = seen & side[r01]
+        if not us:
+            blocked = 0
+        elif r02 < 0:  # some u < z: z above the least u
+            blocked = full & -(1 << (us & -us).bit_length())
+        elif r02 == 0:
+            blocked = us
+        else:  # some u > z: z below the greatest u
+            blocked = (1 << (us.bit_length() - 1)) - 1
+        blocked &= side[-r12]
         self[key] = blocked
         return blocked
+
+    def occurs_in(self, seq) -> bool:
+        """True iff seq contains the pattern, by one scan: a letter that an
+        earlier pair has blocked completes an occurrence. The oracles' rule
+        applied to one sequence."""
+        seen = blocked = 0
+        for x in seq:
+            if blocked >> x & 1:
+                return True
+            blocked |= self[seen, x]
+            seen |= 1 << x
+        return False
 
 
 def brute_force_avoiders(pattern, n_terms, weak=False,

@@ -18,6 +18,7 @@ from ascentlab import analysis as an
 from ascentlab import cli
 from ascentlab import dp
 from ascentlab import io as aio
+from ascentlab import sequences as sq
 from ascentlab import verify as ver
 from ascentlab.series import CoefficientSeries
 
@@ -436,6 +437,21 @@ def test_cli_verify_top_of_range(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.endswith("26/26 checks passed\n")
+
+
+def test_verify_involution_check_fails_for_broken_maps(monkeypatch):
+    # each broken map keeps some of the involution's properties; the check
+    # must still catch every one of them
+    def involution_ok():
+        return {r.name: r.ok for r in ver.run_checks(6)}["reverse-complement-involution"]
+
+    assert involution_ok()
+    broken = {"reversal only": lambda s: tuple(reversed(s)),
+              "identity": tuple,
+              "complement only": lambda s: tuple(max(s) + min(s) - v for v in s)}
+    for label, bad_map in broken.items():
+        monkeypatch.setattr(sq, "weak_reverse_complement", bad_map)
+        assert not involution_ok(), label
 
 
 def test_cli_verify_series_file(tmp_path, capsys):

@@ -184,8 +184,8 @@ def test_brute_force_closed_forms():
 
 
 def test_brute_force_length_guard_and_single_term():
-    # the DFS oracles serve length-3 patterns only; a length-1 run is the
-    # single sequence 0 (or, weak, the single letter 0)
+    # the forward-sweep oracles serve length-3 patterns only; a length-1 run
+    # is the single sequence 0 (or, weak, the single letter 0)
     for bad in ("0", "01", "0120", (1, 0, 2, 0)):
         with pytest.raises(ValueError, match="length-3 patterns only"):
             sq.brute_force_avoiders(bad, 5)
@@ -198,8 +198,8 @@ LENGTH3_PATTERNS = sorted({_dense(w) for w in product(range(3), repeat=3)})
 
 
 def test_oracle_matches_definition_every_length3_pattern():
-    # the bit-set DFS kernels against plain filtering of every (weak) ascent
-    # sequence by contains_pattern
+    # the bit-set forward-sweep kernels against plain filtering of every
+    # (weak) ascent sequence by contains_pattern
     assert len(LENGTH3_PATTERNS) == 13
     strong = {k: list(sq.ascent_sequences(k)) for k in range(1, 9)}
     weak = {k: list(sq.weak_ascent_sequences(k)) for k in range(1, 8)}
@@ -224,6 +224,40 @@ def test_blocked_letters_match_definition():
                 want = sum(1 << z for z in range(width)
                            if any(sq.contains_pattern((u, x, z), p) for u in us))
                 assert blocks[seen, x] == want, (p, seen, x)
+
+
+def test_blocked_letters_match_definition_at_width_7():
+    # the masks' top-bit edges (letters above x, above the least u) reach
+    # the table's top letter at width 7
+    width = 7
+    for p in LENGTH3_PATTERNS:
+        blocks = sq._BlockedLetters(p, width)
+        for seen in range(1 << width):
+            us = [u for u in range(width) if seen >> u & 1]
+            for x in range(width):
+                want = sum(1 << z for z in range(width)
+                           if any(sq.contains_pattern((u, x, z), p) for u in us))
+                assert blocks[seen, x] == want, (p, seen, x)
+
+
+def test_occurs_in_matches_definition():
+    # the one-pass scan against contains_pattern on every ascent sequence of
+    # length <= 8 and every weak ascent sequence of length <= 7, all of
+    # whose letters lie below 8
+    seqs = [s for k in range(1, 9) for s in sq.ascent_sequences(k)]
+    seqs += [s for k in range(1, 8) for s in sq.weak_ascent_sequences(k)]
+    assert len(seqs) == 20938
+    for p in LENGTH3_PATTERNS:
+        blocks = sq._BlockedLetters(p, 8)
+        for s in seqs:
+            assert blocks.occurs_in(s) == sq.contains_pattern(s, p), (p, s)
+
+
+def test_blocked_letters_reject_letters_outside_width():
+    blocks = sq._BlockedLetters((1, 2, 0), 3)
+    assert not blocks.occurs_in((0, 1, 2))
+    with pytest.raises(ValueError, match="outside the table's width 3"):
+        blocks.occurs_in((0, 1, 3))
 
 
 def test_weak_counts_match_definition():

@@ -1,17 +1,22 @@
 """Dynamic-programming enumerators for ascent sequences and the four
-pattern-avoiding families 000, 100, 110, 120, all with exact big integers.
+pattern-avoiding families 000, 100, 110, 120, all with exact integers.
+
+The numpy engines (layered 000 and 100, the set-state sweep) count in
+int64 while an exact bound proves it safe, and in exact Python ints from
+the first step where it might not: one word rule, stated at `_WORD_LIMIT`.
 
 Two engine styles:
 
 * Layered sweeps (ascent, 100, polynomial 000): per-length layers of state
   slices. A step builds each new slice a from the prefix sums of old slices
-  a-1, a and a+1 in a few whole-slice operations (list comprehensions for
-  ascent, numpy object-array gathers for 000), so no Python loop runs over
-  a slice's entries or columns. 100 keeps per-m blocks instead, in which
-  old slices a-1 and a are adjacent columns, so a step is plain slicing of
-  each old block's row prefix sums. 000 and 100 take those sums in place
-  and drop each old slice or block once read, so a step holds about one
-  layer. Used where hundreds of terms are wanted.
+  a-1, a and a+1 in a few whole-slice operations (list comprehensions of
+  Python ints for ascent, numpy gathers for 000), so no Python loop runs
+  over a slice's entries or columns. 100 keeps per-m blocks instead, in
+  which old slices a-1 and a are adjacent columns, so a step is plain
+  slicing of each old block's row prefix sums. 000 and 100 take those sums
+  in place and drop each old slice or block once read, so a step holds
+  about one layer, and they follow the word bound (`_past_word_bound`).
+  Used where hundreds of terms are wanted.
 * Set-state engines (exponential 000, 110, 120): states carry a bit-set of
   letter values. Each pattern has one branch-free transition rule from a
   packed state key (see `_pack`) and a next letter to the child's key; it
@@ -22,9 +27,8 @@ Two engine styles:
   over uint64 keys: applied to the distinct children of each step, which
   are then summed again, it folds states with equal counts into one
   (`_canonical_120`, the sorted-gap form of 120 states).
-  Weights are int64 while an exact bound proves the next layer's mass fits
-  a machine word (`_WORD_LIMIT`), and exact Python ints in an object array
-  from the first step where it might not. A memoized recursion through the
+  Under the word rule, weights are int64 while the next layer's mass
+  provably stays below `_WORD_LIMIT`. A memoized recursion through the
   same rule, one letter at a time and keyed by (n, a, l, S) with S
   unbounded, produces an introspectable value cache;
   `cache_repetition_report` groups its values by (n, a, l, |S|) or by a
@@ -65,9 +69,37 @@ def bitset(values) -> int:
     return s
 
 
+# The one word bound. The set-state sweep and the layered 000 and 100
+# engines count in int64 while an exact bound, taken before each step from
+# the values held, proves that every value the step forms lies below this in
+# absolute value. From the first step where it might not, they count in
+# exact Python ints in object arrays, and stay there for the rest of the
+# run; new arrays take the dtype of the layer they are built from.
+_WORD_LIMIT = 2 ** 63
+
+
 # ---------------------------------------------------------------------------
 # layered engines
 # ---------------------------------------------------------------------------
+
+def _past_word_bound(arrays, n_terms):
+    """Whether the next step of a layered 000 or 100 engine might form a
+    value of _WORD_LIMIT or more in absolute value. The entries are counts,
+    and each engine's docstring proves that a step forms only values below
+    4 * (n_terms + 4) * M in absolute value, M the largest entry of the
+    arrays. Object arrays are exact already, so for them this is false."""
+    if arrays[0].dtype == object:
+        return False
+    top = max(int(g.max()) for g in arrays if g.size)
+    return 4 * (n_terms + 4) * top >= _WORD_LIMIT
+
+
+def _to_exact(arrays):
+    """Make a list of int64 arrays exact Python ints in place, one array at
+    a time, so that at most one int64 array is held beside the new ones."""
+    for i, g in enumerate(arrays):
+        arrays[i] = g.astype(object)
+
 
 def enumerate_ascent(n_terms: int) -> CoefficientSeries:
     """Counts of ascent sequences of lengths 1..n_terms.
@@ -76,6 +108,11 @@ def enumerate_ascent(n_terms: int) -> CoefficientSeries:
     the count at length n is f(n-1, 0, 0). With c and u the prefix sums of
     rows a and a+1 of the previous layer, f(n, a, l) = c[l] + u[a+1] - u[l],
     so a step is one `accumulate` per row and one `zip` per new row.
+
+    The layer stays in lists of exact ints: an int64 phase under the word
+    bound of the 000 and 100 engines would cover too little of the work.
+    At n=200 only 11% of the entries read (156828 of 1373498) fall in the 8
+    steps whose layer maximum M keeps 4(N+4)M below _WORD_LIMIT.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -124,16 +161,27 @@ def enumerate_100(n_terms: int) -> CoefficientSeries:
     cs[m-1, a-1] + t[m+1, a+2] + f(n-1, a, m, m), whole-array over D but
     for the totals cs[m-1] of each block. Each old block is prefix-summed
     in place and dropped once read, so a step holds about one layer.
+
+    Word bound (`_past_word_bound`): every entry is a count, so with M the
+    largest entry of the old blocks and D and N = n_terms, a step forms
+    only values below 4(N+4)M in absolute value. An old block has m <= N
+    rows and D has at most N+1 columns, so cs and t lie in [0, (N+1)M];
+    each partial sum of a new diagonal entry (D + t + cs) is at most
+    (2N+3)M, c is at most (2N+2)M, and a row l+1 >= 1 is a difference in
+    [-(N+1)M, (N+1)M] plus c, so it lies in [-(N+1)M, (3N+3)M].
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     d = n_terms - 1
-    blocks = [np.ones((m + 1, d - m), dtype=object) for m in range(d + 1)]
-    D = np.triu(np.ones((d + 2, d + 2), dtype=object))
+    blocks = [np.ones((m + 1, d - m), dtype=np.int64) for m in range(d + 1)]
+    D = np.triu(np.ones((d + 2, d + 2), dtype=np.int64))
     blocks[0][0, :1] = D[:, 0] = 0   # a = -1 holds no states
     terms = [1]
     for step in range(1, n_terms):
         d = n_terms - 1 - step
+        if _past_word_bound([D, *blocks], n_terms):
+            D = D.astype(object)
+            _to_exact(blocks)
         t = np.cumsum(np.triu(D, 1)[::-1], axis=0)[::-1]
         D = D[:d + 2, :d + 2] + t[1:, 1:]
         old, blocks = blocks, [np.concatenate(([0], t[0, 2:d + 1]))[None, :]]
@@ -143,7 +191,7 @@ def enumerate_100(n_terms: int) -> CoefficientSeries:
             D[m, m:] += cs[-1]
             if m < d:
                 c = cs[-1, 1:-1] + t[m, m + 1:d + 1]
-                g = np.empty((m + 1, d - m), dtype=object)
+                g = np.empty((m + 1, d - m), dtype=D.dtype)
                 g[0] = c
                 np.subtract(cs[:, :-2], cs[:, 1:-1], out=g[1:])
                 g[1:] += c
@@ -176,10 +224,18 @@ def enumerate_000_polynomial(n_terms: int) -> CoefficientSeries:
     each a gather plus a per-column constant, so a new slice takes two
     gathers over its two triangles. Old slice a-1 is dropped once new slice
     a is built, so a step holds about one layer.
+
+    Word bound (`_past_word_bound`): every entry is a count, so with M the
+    largest entry of the old layer and N = n_terms, a step forms only
+    values below 4(N+4)M in absolute value. A slice has a+3 <= N+2 nonzero
+    rows, so P, Q and U lie in [0, (N+2)M]; each partial sum of c_up or
+    c_lo lies in [-(N+2)M, 2(N+2)M], and so does the constant itself, and
+    a gathered difference in [-(N+2)M, (N+2)M] plus its constant lies in
+    [-3(N+2)M, 3(N+2)M].
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    layer = [np.ones((a + 4, a + 3), dtype=object) for a in range(-2, n_terms)]
+    layer = [np.ones((a + 4, a + 3), dtype=np.int64) for a in range(-2, n_terms)]
     for g in layer:
         g[0] = 0
     # (K, l+1) for l < K, column by column, and (l+1, K) for l >= K, row by
@@ -189,7 +245,9 @@ def enumerate_000_polynomial(n_terms: int) -> CoefficientSeries:
     terms = [1]
     for step in range(1, n_terms):
         d = n_terms - 1 - step
-        old, layer = layer, [np.zeros((2, 1), dtype=object)]
+        if _past_word_bound(layer, n_terms):
+            _to_exact(layer)
+        old, layer = layer, [np.zeros((2, 1), dtype=layer[0].dtype)]
         # each old slice is summed as it is first read: summing all up front
         # holds the same data but measured a higher peak RSS
         for g in old[:2]:
@@ -202,7 +260,7 @@ def enumerate_000_polynomial(n_terms: int) -> CoefficientSeries:
             top = U[w, 1:]                      # U[a+3, K+1], K = 0..a+2
             c_up = Q[i, i - 1] + top - U[i + 1, i + 1]
             c_lo = P[i[:-1], i[:-1] - 1] + top[:-1] - Q[i[1:], i[1:]]
-            g = np.zeros((w + 1, w), dtype=object)
+            g = np.zeros((w + 1, w), dtype=P.dtype)
             k = w * (w + 1) // 2
             r, K = up_r[:k], up_k[:k]
             g[r + 1, K] = P[r, K - 1] - Q[r, K - 1] + c_up[K]
@@ -404,10 +462,6 @@ def _sweep_step(rule, keys, weights, canonical=None):
     return keys[order], weights[order]
 
 
-# Weights are int64 while the next layer's mass stays below this bound.
-_WORD_LIMIT = 2 ** 63
-
-
 def _forward_series(variant, n_terms, canonical=None):
     """One forward sweep over layers of packed prefix states; the mass at
     depth d sums to the count at length d+1. A layer is a uint64 key array
@@ -416,11 +470,12 @@ def _forward_series(variant, n_terms, canonical=None):
     the sum of w * (a+2) over the layer before it, and the largest layer is
     never built.
 
-    Weights start as int64. Before each step, the layer's mass times its
-    largest a+2 bounds the next layer's mass, and so every child weight and
-    every partial sum of a reduce, all non-negative. The first time that
-    bound reaches _WORD_LIMIT the weights become exact Python ints in an
-    object array, and stay so for the rest of the run."""
+    Word bound (`_WORD_LIMIT`): weights start as int64. Before each step,
+    the layer's mass times its largest a+2 bounds the next layer's mass,
+    and so every child weight and every partial sum of a reduce, all
+    non-negative. The first time that bound reaches _WORD_LIMIT the weights
+    become exact Python ints in an object array, and stay so for the rest
+    of the run."""
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     _pack(0, n_terms - 1, n_terms)  # deepest states: a <= n-1, l <= a+1 <= n

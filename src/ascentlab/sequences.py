@@ -120,35 +120,38 @@ def ascent_sequences(length):
 
 
 def weak_ascent_sequences(length):
-    """Yield every weak ascent sequence of the given length.
+    """Yield every weak ascent sequence of the given length, in
+    lexicographic order.
 
     Letters are not capped by the running ascent count; a prefix survives as
     long as future ascents (at most one per remaining letter) can still lift
-    the ascent total up to the running maximum.
+    the ascent total up to the running maximum. The prefixes of each length
+    are built from the layer of the length before (`_weak_children`), each
+    parent's children in letter order, so every layer is in lexicographic
+    order. At the last letter no ascent remains, so the survivors are the
+    weak ascent sequences themselves. The layers are chained generators, so
+    each prefix is made and yielded once and no layer is held.
     """
     if length == 0:
         yield ()
         return
+    # (prefix, ascents, maximum); any first letter up to length-1 can be lifted
+    layer = (((first,), 0, first) for first in range(length))
+    for remaining in range(length - 2, -1, -1):
+        layer = _weak_children(layer, remaining)
+    for seq, _, _ in layer:
+        yield seq
 
-    def rec(prefix, asc, hi):
-        depth = len(prefix)
-        if depth == length:
-            if hi <= asc:
-                yield tuple(prefix)
-            return
-        remaining = length - depth - 1
-        last = prefix[-1]
-        limit = asc + 1 + remaining
-        for x in range(max(hi, limit) + 1):
-            nasc = asc + (1 if last < x else 0)
-            if max(hi, x) > nasc + remaining:
-                continue
-            prefix.append(x)
-            yield from rec(prefix, nasc, max(hi, x))
-            prefix.pop()
 
-    for first in range(length):
-        yield from rec([first], 0, first)
+def _weak_children(layer, remaining):
+    """The next layer of `weak_ascent_sequences`: each prefix of the layer
+    extended by every letter x that keeps it completable with `remaining`
+    letters left after x, as (prefix, ascents, maximum)."""
+    return ((seq + (x,), nasc, nhi)
+            for seq, asc, hi in layer
+            for x in range(asc + 2 + remaining)
+            for nasc, nhi in ((asc + (seq[-1] < x), hi if hi > x else x),)
+            if nhi - nasc <= remaining)
 
 
 class _BlockedLetters(dict):

@@ -162,9 +162,14 @@ def test_layered_prefix_consistency(engine, n):
     assert engine(n).values == _full_run(engine, PREFIX_N)[:n]
 
 
-def test_100_matches_its_recurrence():
-    # the four range sums of enumerate_100's docstring, read one state at a
-    # time into a dict; a = -1 holds no states
+RECURRENCE_N = 30
+
+
+@functools.cache
+def _recurrence_100():
+    """Series through RECURRENCE_N from the four range sums of
+    enumerate_100's docstring, read one state at a time into a dict; a = -1
+    holds no states."""
     memo = {}
 
     def f(n, a, l, m):
@@ -181,14 +186,14 @@ def test_100_matches_its_recurrence():
                          + (f(k, a, m, m) if l == m else 0))
         return memo[key]
 
-    series = [f(n - 1, 0, 0, 0) for n in range(1, 31)]
-    for n in range(1, 31):
-        assert dp.enumerate_100(n).values == series[:n], n
+    return [f(n - 1, 0, 0, 0) for n in range(1, RECURRENCE_N + 1)]
 
 
-def test_000_matches_its_recurrence():
-    # the four range sums of enumerate_000_polynomial's docstring, read one
-    # state at a time into a dict; a = -2 admits no letters
+@functools.cache
+def _recurrence_000():
+    """Series through RECURRENCE_N from the four range sums of
+    enumerate_000_polynomial's docstring, read one state at a time into a
+    dict; a = -2 admits no letters."""
     memo = {}
 
     def f(n, a, l, K):
@@ -205,9 +210,45 @@ def test_000_matches_its_recurrence():
                          + sum(f(k, a + 1, i, K + 1) for i in range(max(K, l + 1), a + 2)))
         return memo[key]
 
-    series = [f(n - 1, 0, 0, 1) for n in range(1, 31)]
-    for n in range(1, 31):
+    return [f(n - 1, 0, 0, 1) for n in range(1, RECURRENCE_N + 1)]
+
+
+def test_100_matches_its_recurrence():
+    series = _recurrence_100()
+    for n in range(1, RECURRENCE_N + 1):
+        assert dp.enumerate_100(n).values == series[:n], n
+
+
+def test_000_matches_its_recurrence():
+    series = _recurrence_000()
+    for n in range(1, RECURRENCE_N + 1):
         assert dp.enumerate_000_polynomial(n).values == series[:n], n
+
+
+def test_layered_engines_switch_to_exact_ints_past_the_word_bound(monkeypatch):
+    # a limit of 0 makes the layer exact before step 1, 2**20 early, 2**40
+    # mid-run and the real limit late; an int64 value past 2**63 would wrap
+    # silently and change the series
+    checks = []
+    past = dp._past_word_bound
+
+    def recording(arrays, n_terms):
+        checks.append(past(arrays, n_terms))
+        return checks[-1]
+
+    monkeypatch.setattr(dp, "_past_word_bound", recording)
+    for engine, want in ((dp.enumerate_000_polynomial, _recurrence_000()),
+                         (dp.enumerate_100, _recurrence_100())):
+        switched = []
+        for limit in (0, 2 ** 20, 2 ** 40, dp._WORD_LIMIT):
+            monkeypatch.setattr(dp, "_WORD_LIMIT", limit)
+            checks.clear()
+            assert engine(RECURRENCE_N).values == want, (engine.__name__, limit)
+            # one check per step; the layer turns exact once and stays so
+            assert len(checks) == RECURRENCE_N - 1 and checks.count(True) == 1
+            switched.append(checks.index(True) + 1)
+        assert switched[0] == 1, engine.__name__
+        assert switched == sorted(set(switched)) and switched[-1] < RECURRENCE_N - 1
 
 
 SETSTATE_PREFIX_N = {dp.enumerate_000_exponential: 20, dp.enumerate_110: 20,

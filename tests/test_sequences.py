@@ -68,6 +68,14 @@ def test_weak_ascent_examples():
     assert sq.is_weak_ascent_sequence((0, 2, 0, 1))
 
 
+def test_weak_ascent_sequences_match_definition():
+    # a weak ascent sequence of length k has at most k-1 ascents, so every
+    # letter lies below k; product() yields the words in lexicographic order
+    for k in range(0, 7):
+        want = [s for s in product(range(k), repeat=k) if sq.is_weak_ascent_sequence(s)]
+        assert list(sq.weak_ascent_sequences(k)) == want, k
+
+
 def test_every_ascent_sequence_is_weak():
     for k in range(0, 10):
         for s in sq.ascent_sequences(k):

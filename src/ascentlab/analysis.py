@@ -2,7 +2,8 @@
 exponential, stretched-exponential and factorial factors.
 
 Everything runs at a configurable decimal precision (mpmath); transforms of
-exact integer series form each ratio as an exact rational and round once.
+exact integer series divide each exact ratio's rounded numerator by its
+rounded denominator, so a last bit can differ from the correct rounding.
 The quotient transforms (ratios, EGF ratios, Hadamard quotients) share one
 quotient loop, the transforms of consecutive terms one pairwise loop, every
 local gradient comes from one helper, and the 4x4 window fits share one
@@ -121,8 +122,8 @@ def _logs(c, dps) -> RealSeries:
 
 
 def _quotients(ns, nums, dens, exact, dps) -> RealSeries:
-    """nums_i / dens_i at the indices ns: the exact rational rounded once
-    when the inputs are exact integers, else a real quotient."""
+    """nums_i / dens_i at the indices ns: for exact integers, the reduced
+    fraction through `to_mpf` (see the module docstring), else a real one."""
     out = []
     with mpmath.workdps(dps):
         for n, num, den in zip(ns, nums, dens):

@@ -34,8 +34,10 @@ Two engine styles:
   `cache_repetition_report` groups its values by (n, a, l, |S|) or by a
   caller's projection of the key.
 
-`ENGINES` maps each (pattern, algorithm) pair to its engine; the CLI, the
-dispatcher and the cross-checks all read it. "dp" names the fastest engine
+`ENGINES` maps each (pattern, algorithm) pair to its engine, and `CAPS`
+gives each set-state engine, by name, the term cap that it checks; no other
+table here names the engines. The CLI and the dispatcher read `ENGINES`,
+and `verify` runs each of its engines once. "dp" names the fastest engine
 of a pattern: the layered sweeps for ascent, 000 and 100, the raw set-state
 sweep for 110, and the canonical sweep for 120. "dp-poly" is the layered
 000 engine again, and "dp-exp" the raw set-state sweep of 000, 110 and 120,
@@ -56,10 +58,6 @@ import numpy as np
 
 from .errors import check_cap
 from .series import CoefficientSeries
-
-CAP_000_EXPONENTIAL = 30
-CAP_110 = 36
-CAP_120 = 60
 
 
 def bitset(values) -> int:
@@ -345,7 +343,6 @@ def _next_s(S, i, s):
 
 
 _RULES = {"000": _rule_000, "110": _rule_110, "120": _rule_120}
-_SET_CAPS = {"000": CAP_000_EXPONENTIAL, "110": CAP_110, "120": CAP_120}
 
 
 def _canonical_120(keys):
@@ -574,13 +571,14 @@ def enumerate_with_cache(variant, n_terms):
 
 def enumerate_000_exponential(n_terms, allow_over_cap=False) -> CoefficientSeries:
     """000-avoider counts via the bit-set recursion (states O(n^3 2^n))."""
-    check_cap("000 set-state run", n_terms, _SET_CAPS["000"], allow_over_cap)
+    check_cap("enumerate_000_exponential", n_terms,
+              CAPS["enumerate_000_exponential"], allow_over_cap)
     return _forward_series("000", n_terms)
 
 
 def enumerate_110(n_terms, allow_over_cap=False) -> CoefficientSeries:
     """110-avoider counts; repeats erase every smaller value."""
-    check_cap("110 set-state run", n_terms, _SET_CAPS["110"], allow_over_cap)
+    check_cap("enumerate_110", n_terms, CAPS["enumerate_110"], allow_over_cap)
     return _forward_series("110", n_terms)
 
 
@@ -592,7 +590,7 @@ def enumerate_120(n_terms, allow_over_cap=False) -> CoefficientSeries:
     O(n^3 p(n)) states at most, p the partition function. Measured, layers
     grow 1.13x per term near n = 60 (224573 states at n = 59), against
     1.33x for the raw sweep."""
-    check_cap("120 set-state run", n_terms, _SET_CAPS["120"], allow_over_cap)
+    check_cap("enumerate_120", n_terms, CAPS["enumerate_120"], allow_over_cap)
     return _forward_series("120", n_terms, _canonical_120)
 
 
@@ -600,7 +598,8 @@ def enumerate_120_exponential(n_terms, allow_over_cap=False) -> CoefficientSerie
     """120-avoider counts from the raw bit-set sweep, with no state merged
     beyond equal keys: the independent cross-check of `enumerate_120`.
     Layers grow about 1.33x per term (263965 states at n = 39)."""
-    check_cap("120 set-state run", n_terms, _SET_CAPS["120"], allow_over_cap)
+    check_cap("enumerate_120_exponential", n_terms,
+              CAPS["enumerate_120_exponential"], allow_over_cap)
     return _forward_series("120", n_terms)
 
 
@@ -618,23 +617,29 @@ ENGINES = {
     ("120", "dp"): "enumerate_120",
     ("120", "dp-exp"): "enumerate_120_exponential",
 }
-# The set-state engines, which stop at a term cap unless allowed past it.
-_CAPPED = {"enumerate_000_exponential", "enumerate_110", "enumerate_120",
-           "enumerate_120_exponential"}
+# Term caps of the set-state engines, by engine name. One budget sets them:
+# a run at its cap peaks at no more than 4 GB RSS, half of an 8 GB machine,
+# as projected from runs 2-9 terms shorter (ru_maxrss on a 2-core VM: raw
+# 000 and 110 grow x1.6 per term, raw 120 x1.27). Canonical 120 would reach
+# about 89, but stays at 60 until its conjectured map (`_canonical_120`) is
+# checked deeper than n=50.
+CAPS = {
+    "enumerate_000_exponential": 34,
+    "enumerate_110": 34,
+    "enumerate_120": 60,
+    "enumerate_120_exponential": 57,
+}
 
 
 def enumerate_avoiders(pattern, n_terms, algorithm="dp",
                        allow_over_cap=False) -> CoefficientSeries:
-    """Counts from the ENGINES entry for (pattern, algorithm); the pattern
-    may also be given as a sequence of letters."""
-    key = pattern if isinstance(pattern, str) else "".join(map(str, pattern))
-    name = ENGINES.get((key, algorithm))
+    """Counts from the ENGINES entry for (pattern, algorithm); a capped
+    engine (`CAPS`) gets allow_over_cap."""
+    name = ENGINES.get((pattern, algorithm))
     if name is None:
-        raise ValueError(f"no {algorithm!r} enumerator for pattern {key!r}")
-    engine = globals()[name]
-    if name in _CAPPED:
-        return engine(n_terms, allow_over_cap=allow_over_cap)
-    return engine(n_terms)
+        raise ValueError(f"no {algorithm!r} enumerator for pattern {pattern!r}")
+    kwargs = {"allow_over_cap": allow_over_cap} if name in CAPS else {}
+    return globals()[name](n_terms, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Cross-check suite behind the `verify` command: desk-scale consistency
 checks between the enumerators, the brute-force oracles (forward sweeps
 over avoiding prefixes, `sequences.brute_force_avoiders`), closed forms, and
-the structural lemmas. Two engines merge set states, and each is checked
+the structural lemmas. Each engine of `dp.ENGINES` runs once, through
+`dp.enumerate_avoiders`, and every check that needs its series reads a
+prefix of that one run. Two engines merge set states, and each is checked
 against the raw sweep of its pattern: the polynomial 000 engine (S reduced
 to its size) and the canonical 120 engine (the gaps of S sorted, a merge
 that rests on a conjecture). The weak reverse-complement involution is
@@ -43,50 +45,48 @@ def run_checks(max_n=10) -> list:
     def check(name, ok, detail=""):
         results.append(CheckResult(name, bool(ok), detail))
 
-    asc = dp.enumerate_ascent(max(6, max_n))
-    check("golden-ascent-series", asc.values[:6] == [1, 2, 5, 15, 53, 217],
-          f"got {asc.values[:6]}")
+    # each engine runs once, at 12 terms or more (factorial-lower-bounds
+    # reads 12), and every check reads a prefix of that run
+    n_pe = min(max_n + 6, 20)
+    by_name = {}
+    for (pat, algo), name in dp.ENGINES.items():
+        if name not in by_name:
+            by_name[name] = dp.enumerate_avoiders(pat, max(n_pe, 12), algorithm=algo).values
+    run = {key: by_name[name] for key, name in dp.ENGINES.items()}
 
-    got000 = dp.enumerate_000_polynomial(7).values
+    asc = run["none", "dp"][:6]
+    check("golden-ascent-series", asc == [1, 2, 5, 15, 53, 217], f"got {asc}")
+
+    got000 = run["000", "dp"][:7]
     check("golden-000-prefix", got000 == [1, 2, 4, 10, 27, 83, 277], f"got {got000}")
 
     trace = [dp.suffix_count("120", n, 4, 0, {0, 1, 2, 4}) for n in range(6)]
     check("golden-120-state-trace", trace == [1, 6, 32, 160, 778, 3747], f"got {trace}")
 
     oracle = {}
-    counted = {}  # engine name -> series; aliased table entries share one run
-    for (pat, algo), name in dp.ENGINES.items():
+    for (pat, algo), series in run.items():
         if pat == "none":
             continue  # no pattern to avoid; golden-ascent-series covers it
         if pat not in oracle:
             oracle[pat] = sq.brute_force_avoiders(pat, max_n).values
-        if name not in counted:
-            counted[name] = dp.enumerate_avoiders(pat, max_n, algorithm=algo)
-        got = counted[name].values
-        want = oracle[pat]
+        got, want = series[:max_n], oracle[pat]
         first_bad = next((i + 1 for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
         check(f"oracle-equivalence-{pat}-{algo}", got == want,
               "" if got == want else f"first mismatch at n={first_bad}")
 
-    for pat, form in (("001", lambda k: 2 ** (k - 1)),
-                      ("010", lambda k: 2 ** (k - 1)),
-                      ("011", lambda k: 2 ** (k - 1)),
-                      ("012", lambda k: 2 ** (k - 1)),
-                      ("102", lambda k: (3 ** (k - 1) + 1) // 2),
-                      ("101", _catalan), ("021", _catalan)):
+    forms = dict.fromkeys(("001", "010", "011", "012"), lambda k: 2 ** (k - 1))
+    forms.update({"102": lambda k: (3 ** (k - 1) + 1) // 2, "101": _catalan, "021": _catalan})
+    for pat, form in forms.items():
         got = sq.brute_force_avoiders(pat, max_n).values
         want = [form(k) for k in range(1, max_n + 1)]
         check(f"closed-form-{pat}", got == want)
 
-    n_pe = min(max_n + 6, 20)
     check("poly-equals-exponential-000",
-          dp.enumerate_000_polynomial(n_pe).values
-          == dp.enumerate_000_exponential(n_pe).values, f"n={n_pe}")
+          run["000", "dp-poly"][:n_pe] == run["000", "dp-exp"][:n_pe], f"n={n_pe}")
     # the sorted-gap map of the canonical 120 engine is a conjecture
     # (dp._canonical_120), so its series is checked against the raw sweep
     check("canonical-equals-raw-120",
-          dp.enumerate_120(n_pe).values == dp.enumerate_120_exponential(n_pe).values,
-          f"n={n_pe}")
+          run["120", "dp"][:n_pe] == run["120", "dp-exp"][:n_pe], f"n={n_pe}")
 
     n_weak = min(max_n, 9)
     w120 = sq.brute_force_avoiders("120", n_weak, weak=True).values
@@ -109,17 +109,14 @@ def run_checks(max_n=10) -> list:
                 ok_inv = False
     check("reverse-complement-involution", ok_inv, f"lengths <= {n_inv}")
 
-    c000 = dp.enumerate_000_polynomial(min(2 * (max_n // 2), 12))
-    c100 = dp.enumerate_100(min(2 * (max_n // 2), 12))
-    nmax_fact = c000.last_index // 2
-    ok_lb = all(c000.at(2 * n) >= math.factorial(n) and c100.at(2 * n) >= math.factorial(n)
-                for n in range(1, nmax_fact + 1))
-    c110 = dp.enumerate_110(12)
-    ok_lb = ok_lb and all(c110.at(3 * n) >= math.factorial(n) for n in range(1, 5))
+    # c[k - 1] counts length k
+    c000, c100, c110, c120 = (run[pat, "dp"] for pat in ("000", "100", "110", "120"))
+    ok_lb = all(c000[2 * n - 1] >= math.factorial(n) and c100[2 * n - 1] >= math.factorial(n)
+                for n in range(1, min(max_n // 2, 6) + 1))
+    ok_lb = ok_lb and all(c110[3 * n - 1] >= math.factorial(n) for n in range(1, 5))
     check("factorial-lower-bounds", ok_lb)
 
-    c120 = counted[dp.ENGINES["120", "dp"]]
-    ok_sm = all(c120.at(m + n) >= c120.at(m) * c120.at(n)
+    ok_sm = all(c120[m + n - 1] >= c120[m - 1] * c120[n - 1]
                 for m in range(1, max_n) for n in range(1, max_n - m + 1))
     check("supermultiplicativity-120", ok_sm)
 
@@ -156,7 +153,4 @@ def compare_series_file(loaded, pattern):
     engine; return the first mismatching index or None."""
     n = loaded.n_exact
     computed = dp.enumerate_avoiders(pattern, n, allow_over_cap=True)
-    for k in range(1, n + 1):
-        if computed.at(k) != loaded.exact.at(k):
-            return k
-    return None
+    return next((k for k in range(1, n + 1) if computed.at(k) != loaded.exact.at(k)), None)

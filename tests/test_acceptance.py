@@ -2,7 +2,8 @@
 
 Each criterion prints one PASS/FAIL line (run with `pytest -s` to watch).
 Expensive series are computed once in module-scoped fixtures; their wall
-times back the runtime criteria.
+times back the runtime criteria. The two criterion 4 series run at once, in
+two worker processes where the machine has two cores.
 
 Criterion 5's first clause (grouping the exponential-000 cache by
 (n,a,l,|S|) gives 100% single-valued groups) is implemented faithfully and
@@ -13,7 +14,9 @@ printed; see the bijection-pair clause for what is actually provable.
 """
 
 import math
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor, as_completed
 
 import mpmath
 import pytest
@@ -69,13 +72,29 @@ def dp_small(brute12):
 
 
 @pytest.fixture(scope="module")
-def c000_200():
-    return _timed("poly200", dp.enumerate_000_polynomial, 200)
+def criterion4_series():
+    """000 n=200 and 100 n=300, computed at once in a process pool; each
+    run is timed from its submit to its result."""
+    jobs = {"poly200": (dp.enumerate_000_polynomial, 200),
+            "c100_300": (dp.enumerate_100, 300)}
+    out = {}
+    with ProcessPoolExecutor(min(2, os.cpu_count() or 1)) as pool:
+        t0 = time.time()
+        futures = {pool.submit(fn, n): key for key, (fn, n) in jobs.items()}
+        for fut in as_completed(futures):
+            TIMINGS[futures[fut]] = time.time() - t0
+            out[futures[fut]] = fut.result()
+    return out
 
 
 @pytest.fixture(scope="module")
-def c100_300():
-    return _timed("c100_300", dp.enumerate_100, 300)
+def c000_200(criterion4_series):
+    return criterion4_series["poly200"]
+
+
+@pytest.fixture(scope="module")
+def c100_300(criterion4_series):
+    return criterion4_series["c100_300"]
 
 
 @pytest.fixture(scope="module")

@@ -494,14 +494,22 @@ def test_determinism_repeat_runs():
 
 
 def test_caps(monkeypatch):
-    with pytest.raises(CapExceededError):
-        dp.enumerate_000_exponential(31)
-    with pytest.raises(CapExceededError):
-        dp.enumerate_110(37)
-    with pytest.raises(CapExceededError):
-        dp.enumerate_120(61)
+    # every capped engine raises one past its own cap, naming itself, before
+    # any sweep starts, and reaches the sweep at its cap
+    assert set(dp.CAPS) <= set(dp.ENGINES.values())
+
+    def no_sweep(key, i, s):
+        raise AssertionError("sweep started")
+    with monkeypatch.context() as m:
+        for variant in dp._RULES:
+            m.setitem(dp._RULES, variant, no_sweep)
+        for name, cap in dp.CAPS.items():
+            with pytest.raises(CapExceededError, match=f"^{name} capped at {cap} terms"):
+                getattr(dp, name)(cap + 1)
+            with pytest.raises(AssertionError, match="sweep started"):
+                getattr(dp, name)(cap)
     # override proceeds with a warning and still computes correct values
-    monkeypatch.setitem(dp._SET_CAPS, "110", 6)
+    monkeypatch.setitem(dp.CAPS, "enumerate_110", 6)
     with pytest.raises(CapExceededError):
         dp.enumerate_110(8)
     with pytest.warns(UserWarning):
@@ -558,7 +566,7 @@ def test_dispatch():
     with pytest.raises(ValueError):
         dp.enumerate_avoiders("201", 6)
     assert dp.enumerate_avoiders("none", 6).values == dp.enumerate_ascent(6).values
-    assert dp.enumerate_avoiders((1, 2, 0), 8).values == dp.enumerate_120(8).values
+    assert dp.enumerate_avoiders("120", 8).values == dp.enumerate_120(8).values
 
 
 def test_cache_repetition_report_000():

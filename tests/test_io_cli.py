@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -437,6 +438,18 @@ def test_cli_verify_top_of_range(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.endswith("26/26 checks passed\n")
+
+
+def test_verify_runs_each_engine_once(monkeypatch):
+    names = set(dp.ENGINES.values())
+    calls = Counter()
+    for name in names:
+        def counted(*args, _engine=getattr(dp, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _engine(*args, **kwargs)
+        monkeypatch.setattr(dp, name, counted)
+    assert all(r.ok for r in ver.run_checks(6))
+    assert calls == Counter(names)
 
 
 def test_verify_involution_check_fails_for_broken_maps(monkeypatch):

@@ -68,16 +68,14 @@ class LinearFitWindow:
 
 @dataclass
 class EstimatorTrace:
-    """An estimator plotted against an abscissa, with local gradients.
+    """An estimator y at the indices ns, with its local gradients against
+    log n.
 
     Indices with domain failures (log of a non-positive value) are skipped
     and recorded rather than aborting the trace.
     """
 
-    name: str
-    abscissa: str
     ns: list
-    x: list
     y: list
     gradient_ns: list = field(default_factory=list)
     gradients: list = field(default_factory=list)
@@ -184,16 +182,14 @@ def _gradients(ns, xs, ys):
                     for i in range(1, len(ns))]
 
 
-def _trace_against_log_n(name, ns, ys, dps, skipped=()):
+def _trace_against_log_n(ns, ys, dps, skipped=()):
     with mpmath.workdps(dps):
-        xs = [mpmath.log(n) for n in ns]
-        gns, grads = _gradients(ns, xs, ys)
-    return EstimatorTrace(name=name, abscissa="log n", ns=ns, x=xs, y=ys,
-                          gradient_ns=gns, gradients=grads,
+        gns, grads = _gradients(ns, [mpmath.log(n) for n in ns], ys)
+    return EstimatorTrace(ns=ns, y=ys, gradient_ns=gns, gradients=grads,
                           skipped=list(skipped), dps=dps)
 
 
-def _log_trace(name, raw: RealSeries):
+def _log_trace(raw: RealSeries):
     """log(raw) against log(n), skipping non-positive entries."""
     kept, ys, skipped = [], [], []
     with mpmath.workdps(raw.dps):
@@ -203,7 +199,7 @@ def _log_trace(name, raw: RealSeries):
                 continue
             kept.append(n)
             ys.append(mpmath.log(v))
-    return _trace_against_log_n(name, kept, ys, raw.dps, skipped)
+    return _trace_against_log_n(kept, ys, raw.dps, skipped)
 
 
 def sigma_estimator_ratio(r: RealSeries) -> EstimatorTrace:
@@ -211,7 +207,7 @@ def sigma_estimator_ratio(r: RealSeries) -> EstimatorTrace:
     Ratios fall under pure power-law growth, so only exact zeros are skipped."""
     if len(r) < 3:
         raise InsufficientTermsError("need at least three ratio terms")
-    return _log_trace("sigma_ratio", _pairwise(r, lambda n, a, b: abs(a / b - 1)))
+    return _log_trace(_pairwise(r, lambda n, a, b: abs(a / b - 1)))
 
 
 def sigma_estimator_root(c, dps=None) -> EstimatorTrace:
@@ -223,7 +219,7 @@ def sigma_estimator_root(c, dps=None) -> EstimatorTrace:
     logs = _logs(c, dps)
     if logs.first_index == 0:
         logs = RealSeries(logs.values[1:], first_index=1, dps=logs.dps)
-    return _log_trace("sigma_root", _pairwise(
+    return _log_trace(_pairwise(
         logs, lambda n, a, b: mpmath.e ** (a / n - b / (n - 1)) - 1))
 
 
@@ -283,7 +279,7 @@ def g_estimator(c, mu, sigma, dps=None) -> EstimatorTrace:
     ys = _pairwise(logs, lambda n, a, b: (mpf(n - 1) ** s * (a - n * logmu)
                                           - mpf(n) ** s * (b - (n - 1) * logmu))
                    * mpf(n) ** (1 - s) / s)
-    return _trace_against_log_n("g_estimator", list(ys.indices()), ys.values, d)
+    return _trace_against_log_n(list(ys.indices()), ys.values, d)
 
 
 def mu1_refined(c, mu, sigma, g, dps=None) -> RealSeries:
@@ -439,19 +435,18 @@ def reference_constants(dps=DEFAULT_DPS) -> ReferenceConstants:
                               growth_000_conjecture=mu000, growth_120=root)
 
 
-def neville_extrapolate(xs, ys, x0=0, dps=DEFAULT_DPS):
-    """Neville polynomial extrapolation of (xs, ys) to x0."""
+def neville_extrapolate(xs, ys, dps=DEFAULT_DPS):
+    """Neville polynomial extrapolation of (xs, ys) to x = 0."""
     if len(xs) != len(ys) or not xs:
         raise ValueError("need equal nonzero numbers of abscissae and values")
     with mpmath.workdps(dps):
         tab = [mpf(y) for y in ys]
         xs = [mpf(x) for x in xs]
-        x0 = mpf(x0)
         m = len(tab)
         for level in range(1, m):
             for i in range(m - level):
-                tab[i] = ((x0 - xs[i + level]) * tab[i]
-                          + (xs[i] - x0) * tab[i + 1]) / (xs[i] - xs[i + level])
+                tab[i] = (xs[i] * tab[i + 1]
+                          - xs[i + level] * tab[i]) / (xs[i] - xs[i + level])
         return tab[0]
 
 
@@ -469,6 +464,6 @@ def extrapolate_intercept(series, power=1.0, depth=3, name="trace",
     depth = min(depth, len(ns))
     with mpmath.workdps(dps):
         xs = [mpf(n) ** mpf(-power) for n in ns[-depth:]]
-        ev = neville_extrapolate(xs, vals[-depth:], 0, dps=dps)
+        ev = neville_extrapolate(xs, vals[-depth:], dps=dps)
     return InterceptSummary(name=name, abscissa_power=power, last_n=ns[-1],
                             last_value=vals[-1], neville=ev, depth=depth)

@@ -195,8 +195,6 @@ def fit_da(c: CoefficientSeries, cfg: DAConfig) -> DifferentialApproximant:
     """
     coeffs = _full_coefficients(c)
     n_eq = cfg.matched_terms
-    if n_eq < 1:
-        raise ValueError("configuration matches no coefficients")
     if len(coeffs) < n_eq + 1:
         raise InsufficientTermsError(
             f"need {n_eq + 1} coefficients including the constant, have {len(coeffs)}")
@@ -378,7 +376,7 @@ def _common_digits(lo, hi, cap):
     """Length of the shared leading decimal-digit prefix of lo <= hi."""
     if lo == hi:
         return cap
-    if lo <= 0 < hi or hi < 0 <= lo:
+    if lo <= 0 < hi:
         return 0
     a, b = (abs(lo), abs(hi))
     ea = mpmath.floor(mpmath.log10(a))

@@ -43,7 +43,7 @@ def cmd_enumerate(args):
                                            algorithm=args.algo,
                                            allow_over_cap=args.override_caps)
     except CapExceededError as exc:
-        return _fail("cap-exceeded", str(exc))
+        return _fail("cap-exceeded", f"{exc}; pass --override-caps to proceed")
     except ValueError as exc:
         return _fail("usage", str(exc), 2)
     try:
@@ -231,7 +231,10 @@ def cmd_verify(args):
             loaded = aio.read_bfile(args.input)
         except (OSError, ValueError) as exc:
             return _fail("parse", str(exc))
-        bad = ver.compare_series_file(loaded, args.pattern)
+        try:
+            bad = ver.compare_series_file(loaded, args.pattern)
+        except CapExceededError as exc:
+            return _fail("cap-exceeded", str(exc))
         if bad is not None:
             print(f"FAIL series-file-comparison first mismatch at n={bad}")
             return 1
@@ -264,9 +267,13 @@ def build_parser():
     pe = sub.add_parser("enumerate", help="write a series b-file")
     pe.add_argument("--pattern", required=True, choices=patterns)
     pe.add_argument("--algo", default="dp", choices=algos)
-    pe.add_argument("--terms", type=int, required=True)
+    pe.add_argument("--terms", type=int, required=True,
+                    help="count lengths 1..TERMS, at most a capped engine's cap: dp.CAPS for "
+                    "the set-state engines (a run at its cap fits a 4 GB memory budget), "
+                    "sequences.ORACLE_CAP for brute; the layered engines have none")
     pe.add_argument("--output", required=True)
-    pe.add_argument("--override-caps", action="store_true")
+    pe.add_argument("--override-caps", action="store_true",
+                    help="run past a cap (see --terms) under a warning")
     pe.set_defaults(func=cmd_enumerate)
 
     pa = sub.add_parser("analyze", help="write estimator-trace CSV from a b-file")
@@ -294,8 +301,9 @@ def build_parser():
 
     pv = sub.add_parser("verify", help="run the cross-check suite")
     pv.add_argument("--max-n", type=int, help="largest length the oracles count; default 10")
-    pv.add_argument("--input")
-    pv.add_argument("--pattern", choices=patterns)
+    pv.add_argument("--input", help="b-file to recount with the pattern's dp engine under "
+                    "enumerate's caps; a file longer than the cap fails (cap-exceeded)")
+    pv.add_argument("--pattern", choices=patterns, help="pattern of the --input series")
     pv.set_defaults(func=cmd_verify)
     return p
 

@@ -653,7 +653,6 @@ def _cardinality_key(key):
 
 @dataclass
 class RepetitionReport:
-    variant: str
     total_keys: int
     groups: dict                  # projected key -> Counter(value -> multiplicity)
     single_valued_fraction: float
@@ -671,6 +670,5 @@ def cache_repetition_report(cache: MemoCache,
     for key, value in cache.data.items():
         groups.setdefault(group_by(key), Counter())[value] += 1
     single = sum(1 for values in groups.values() if len(values) == 1)
-    return RepetitionReport(variant=cache.variant, total_keys=len(cache.data),
-                            groups=groups,
+    return RepetitionReport(total_keys=len(cache.data), groups=groups,
                             single_valued_fraction=single / len(groups))

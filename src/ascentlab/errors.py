@@ -12,9 +12,7 @@ def check_cap(what, n_terms, cap, allow_over_cap):
     the run proceeds under a warning instead."""
     if n_terms > cap:
         if not allow_over_cap:
-            raise CapExceededError(
-                f"{what} capped at {cap} terms (requested {n_terms}); "
-                "pass allow_over_cap=True to proceed")
+            raise CapExceededError(f"{what} capped at {cap} terms (requested {n_terms})")
         warnings.warn(f"{what} of {n_terms} terms exceeds cap {cap}")
 
 

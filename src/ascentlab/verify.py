@@ -139,7 +139,7 @@ def bijection_lemma_pairs_equal(cache):
     checked = 0
     for (n, a, l, S) in list(cache.data):
         for i in range(max(l, 0)):
-            if (S >> i) & 1 and not (S >> (i + 1)) & 1 and i < l:
+            if (S >> i) & 1 and not (S >> (i + 1)) & 1:
                 partner = (S & ~(1 << i)) | (1 << (i + 1))
                 checked += 1
                 if (dp.suffix_count(cache.variant, n, a, l, partner, cache=cache)
@@ -150,7 +150,8 @@ def bijection_lemma_pairs_equal(cache):
 
 def compare_series_file(loaded, pattern):
     """Recompute the exact prefix of a series file with the pattern's "dp"
-    engine; return the first mismatching index or None."""
+    engine, under its cap (a longer file raises CapExceededError); return
+    the first mismatching index or None."""
     n = loaded.n_exact
-    computed = dp.enumerate_avoiders(pattern, n, allow_over_cap=True)
+    computed = dp.enumerate_avoiders(pattern, n)
     return next((k for k in range(1, n + 1) if computed.at(k) != loaded.exact.at(k)), None)

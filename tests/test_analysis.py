@@ -9,6 +9,7 @@ from mpmath import mpf
 
 from ascentlab import analysis as an
 from ascentlab import dp
+from ascentlab.errors import InsufficientTermsError
 from ascentlab.series import CoefficientSeries, RealSeries
 
 mpmath.mp.dps = 60
@@ -130,9 +131,9 @@ def test_sigma_estimators_on_synthetic():
     # raw local gradients converge as O(1/n^sigma); extrapolate in that
     # abscissa as the trace is meant to be read
     e1 = an.neville_extrapolate([mpf(n) ** mpf(-0.375) for n in t1.gradient_ns[-6:]],
-                                t1.gradients[-6:], 0, 60)
+                                t1.gradients[-6:], 60)
     e2 = an.neville_extrapolate([mpf(n) ** mpf(-0.375) for n in t2.gradient_ns[-6:]],
-                                t2.gradients[-6:], 0, 60)
+                                t2.gradients[-6:], 60)
     assert abs(e1 - mpf("-1.625")) < mpf("0.02")
     assert abs(e2 - mpf("-1.625")) < mpf("0.02")
     # leading-order agreement between the two estimators on the same input
@@ -327,10 +328,50 @@ def test_precision_monotonicity():
     trace = list(zip(r.indices(), r.values))
     with mpmath.workdps(40):
         want = an.neville_extrapolate([1 / mpf(n) for n in r.indices()][-3:],
-                                      r.values[-3:], 0, 40)
+                                      r.values[-3:], 40)
     assert an.extrapolate_intercept(trace, dps=40).neville == want
 
 
 def test_synth_requires_enough_terms():
     with pytest.raises(ValueError):
         an.synth_series(STRETCHED, 3)
+
+
+SHORT = CoefficientSeries([1, 2, 5])
+R10 = an.ratios(CoefficientSeries([2 ** n * n for n in range(1, 11)]))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: an.sigma_estimator_root(CoefficientSeries([1, 2, 0, 5])), ValueError,
+     "non-positive term at index 3 has no real log"),
+    (lambda: an.ratios(CoefficientSeries([1])), InsufficientTermsError, "two terms"),
+    (lambda: an.egf_ratios(CoefficientSeries([1])), InsufficientTermsError, "two terms"),
+    (lambda: an.quadratic_intercepts(RealSeries([mpf(1)], 2)), InsufficientTermsError,
+     "two terms"),
+    (lambda: an.sigma_estimator_ratio(an.ratios(SHORT)), InsufficientTermsError,
+     "three ratio terms"),
+    (lambda: an.sigma_estimator_root(CoefficientSeries([1, 2])), InsufficientTermsError,
+     "three terms"),
+    (lambda: an.sigma_local_gradient_known_mu(R10, 0), ValueError, "mu must be positive"),
+    (lambda: an.mu1_estimator(R10, 2, 1), ValueError, "0 < sigma < 1"),
+    (lambda: an.g_estimator(CoefficientSeries([1, 2, 5, 15]), -2, 0.5), ValueError,
+     "mu must be positive"),
+    (lambda: an.mu1_refined(CoefficientSeries([1, 2, 5, 15]), 0, 0.5, 1), ValueError,
+     "mu must be positive"),
+    # at sigma = 1/2 the columns n^(2*sigma-2) and 1/n coincide
+    (lambda: an.fit_ratio4(R10, 0.5, 6), ValueError, "singular fit system at window k=6"),
+    (lambda: an.fit_stirling_log(CoefficientSeries([1, 2, 5, 15, 53]), 3), ValueError,
+     "window m=3 outside series range"),
+    (lambda: an.factorial_ratio_transforms(SHORT), InsufficientTermsError, "four terms"),
+    (lambda: an.synth_series({"mu": 2}, 10), TypeError, "params must be"),
+    (lambda: an.neville_extrapolate([1, 2], [mpf(1)]), ValueError,
+     "equal nonzero numbers"),
+    (lambda: an.extrapolate_intercept([], name="l2"), InsufficientTermsError,
+     "empty trace l2"),
+], ids=["log-of-zero", "ratios", "egf-ratios", "quadratic-intercepts",
+        "sigma-ratio", "sigma-root", "sigma-known-mu", "mu1-estimator", "g-estimator",
+        "mu1-refined", "singular-window", "stirling-window", "factorial-transforms",
+        "synth-params", "neville-lengths", "empty-trace"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

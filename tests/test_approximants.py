@@ -39,6 +39,17 @@ def test_config_validation():
     assert cfg.matched_terms == 1 + 12
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: ap.DAConfig(order=1, degrees=(1, -1)), "degrees must be non-negative"),
+    (lambda: ap.fit_da(CoefficientSeries([1, 1, 2, 5, 14, 42], first_index=0),
+                       ap.DAConfig(order=1, degrees=(1, 1))),
+     "series must start at index 1"),
+], ids=["negative-degree", "first-index"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_geometric_exact():
     geo = CoefficientSeries([2 ** n for n in range(1, 13)])
     da = ap.fit_da(geo, ap.DAConfig(order=1, degrees=(1, 1)))
@@ -283,6 +294,16 @@ def test_origin_root_flagged():
         config=ap.DAConfig(order=1, degrees=(0, 1)))
     sings = ap.singularities(da)
     assert len(sings) == 1 and sings[0].multiple and sings[0].exponent is None
+
+
+@pytest.mark.parametrize("qs", [
+    [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(0)]],   # Q_M constant
+    [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]],   # Q_M = Q_{M-1} = 0
+], ids=["constant-q-m", "zero-q-m-and-q-m-1"])
+def test_singularities_of_degenerate_q_m(qs):
+    da = ap.DifferentialApproximant(qs=qs, p=[],
+                                    config=ap.DAConfig(order=1, degrees=(1, 1)))
+    assert ap.singularities(da) == []
 
 
 def test_vanishing_multiplier():

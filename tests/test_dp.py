@@ -601,3 +601,14 @@ def test_bijection_lemma_pairs():
     _, cache = dp.enumerate_with_cache("000", 14)
     ok, checked = bijection_lemma_pairs_equal(cache)
     assert ok and checked > 500
+
+
+def test_bijection_lemma_pairs_detect_a_wrong_value():
+    from ascentlab.verify import bijection_lemma_pairs_equal
+    _, cache = dp.enumerate_with_cache("000", 8)
+    # the first key with a partner holds a value one too large
+    key = next((n, a, l, S) for (n, a, l, S) in cache.data
+               if any((S >> i) & 1 and not (S >> (i + 1)) & 1 for i in range(max(l, 0))))
+    cache.data[key] += 1
+    ok, checked = bijection_lemma_pairs_equal(cache)
+    assert not ok and checked >= 1

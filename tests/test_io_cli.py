@@ -153,6 +153,32 @@ def test_cli_enumerate_errors(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_enumerate_cap_lines_name_the_flag(tmp_path, capsys, monkeypatch):
+    # the oracle's cap and a set-state engine's cap, in the CLI's own terms
+    out = tmp_path / "x.bf"
+    assert run_cli("enumerate", "--pattern", "110", "--algo", "brute",
+                   "--terms", "16", "--output", str(out)) == 1
+    assert capsys.readouterr().err == ("error: cap-exceeded: oracle run capped at 15 "
+                                       "terms (requested 16); pass --override-caps "
+                                       "to proceed\n")
+    monkeypatch.setitem(dp.CAPS, "enumerate_110", 5)
+    assert run_cli("enumerate", "--pattern", "110", "--terms", "8",
+                   "--output", str(out)) == 1
+    assert capsys.readouterr().err == ("error: cap-exceeded: enumerate_110 capped at 5 "
+                                       "terms (requested 8); pass --override-caps "
+                                       "to proceed\n")
+    assert not out.exists()
+
+
+def test_cli_override_caps_runs_past_the_oracle_cap(tmp_path):
+    out = tmp_path / "000.b"
+    with pytest.warns(UserWarning):
+        assert run_cli("enumerate", "--pattern", "000", "--algo", "brute",
+                       "--terms", "16", "--override-caps", "--output", str(out)) == 0
+    ref = (REF_DIR / "000.b").read_bytes().splitlines(keepends=True)[:16]
+    assert out.read_bytes() == b"".join(ref)
+
+
 def test_cli_choices_come_from_engine_table():
     assert set(ENGINE_TERMS) == set(dp.ENGINES)
     patterns = [p for p, _ in dp.ENGINES]
@@ -224,7 +250,7 @@ def test_cli_analyze_summary_at_requested_precision(tmp_path):
                                           dps=100).alpha_estimates[-3:]
     with mpmath.workdps(100):
         want = an.neville_extrapolate([1 / mpf(n) for n, _ in alpha],
-                                      [v for _, v in alpha], 0, 100)
+                                      [v for _, v in alpha], 100)
     line = next(s for s in Path(f"{out}.summary.txt").read_text().splitlines()
                 if s.startswith("alpha_estimate "))
     assert line.endswith(f"neville(depth=3)={aio.format_real(want, 100)}")
@@ -483,6 +509,29 @@ def test_cli_verify_series_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: parse: parse error at line 2: bad integer value\n"
     assert captured.out == ""
+
+
+def test_cli_verify_series_file_past_cap(tmp_path, capsys, monkeypatch):
+    # a file longer than its pattern's "dp" cap fails before any sweep
+    # starts, naming the engine and its cap and no flag verify lacks
+    capped = {p: name for (p, algo), name in dp.ENGINES.items()
+              if algo == "dp" and name in dp.CAPS}
+    assert capped
+
+    def no_sweep(key, i, s):
+        raise AssertionError("sweep started")
+    for variant in dp._RULES:
+        monkeypatch.setitem(dp._RULES, variant, no_sweep)
+    src = tmp_path / "s.b"
+    for pattern, name in capped.items():
+        src.write_bytes(b"".join((REF_DIR / f"{pattern}.b").read_bytes()
+                                 .splitlines(keepends=True)[:8]))
+        monkeypatch.setitem(dp.CAPS, name, 5)
+        assert run_cli("verify", "--input", str(src), "--pattern", pattern) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: cap-exceeded: {name} capped at 5 terms "
+                                "(requested 8)\n")
+        assert captured.out == ""
 
 
 def test_cli_usage_validation(tmp_path, capsys):

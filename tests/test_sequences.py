@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ascentlab import sequences as sq
 from ascentlab.errors import CapExceededError
+from ascentlab.series import CoefficientSeries
 
 
 def _cmp(a, b):
@@ -287,6 +288,17 @@ def test_oracle_cap():
     with pytest.warns(UserWarning):
         s = sq.brute_force_avoiders("001", 16, allow_over_cap=True)
     assert s.at(16) == 2 ** 15
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: sq.parse_pattern((0, -1, 1)), ValueError, "non-negative"),
+    (lambda: CoefficientSeries([1, 2, 5]).at(4), IndexError, r"index 4 outside \[1, 3\]"),
+    (lambda: CoefficientSeries([1, 2, 5], first_index=2).truncate(1), IndexError,
+     "below first index 2"),
+], ids=["negative-letter", "index-past-end", "truncate-below-start"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_supermultiplicativity_small():

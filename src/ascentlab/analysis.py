@@ -264,20 +264,28 @@ def mu1_estimator(r: RealSeries, mu, sigma) -> RealSeries:
     return RealSeries(out, first_index=r.first_index, dps=r.dps)
 
 
-def g_estimator(c, mu, sigma, dps=None) -> EstimatorTrace:
-    """e_n/sigma against log n, where
-    e_n = ((n-1)^sigma log d_n - n^sigma log d_{n-1}) * n^(1-sigma) and
-    d_n = c_n / mu^n. Local gradients tend to -g."""
+def _log_model_ratio(c, mu, g, dps) -> RealSeries:
+    """log(c_n / (mu^n n^g)) = log c_n - g log n - n log mu, at the working
+    precision of `_logs`."""
     if not mu > 0:
         raise ValueError("mu must be positive")
     logs = _logs(c, dps)
     d = logs.dps
-    m, s = to_mpf(mu, d), to_mpf(sigma, d)
     with mpmath.workdps(d):
-        logmu = mpmath.log(m)
-    # log d_n = log c_n - n log mu
-    ys = _pairwise(logs, lambda n, a, b: (mpf(n - 1) ** s * (a - n * logmu)
-                                          - mpf(n) ** s * (b - (n - 1) * logmu))
+        logmu, gg = mpmath.log(to_mpf(mu, d)), to_mpf(g, d)
+        out = [v - gg * mpmath.log(n) - n * logmu
+               for n, v in zip(logs.indices(), logs.values)]
+    return RealSeries(out, logs.first_index, d)
+
+
+def g_estimator(c, mu, sigma, dps=None) -> EstimatorTrace:
+    """e_n/sigma against log n, where
+    e_n = ((n-1)^sigma log d_n - n^sigma log d_{n-1}) * n^(1-sigma) and
+    d_n = c_n / mu^n. Local gradients tend to -g."""
+    logd = _log_model_ratio(c, mu, 0, dps)
+    d = logd.dps
+    s = to_mpf(sigma, d)
+    ys = _pairwise(logd, lambda n, a, b: (mpf(n - 1) ** s * a - mpf(n) ** s * b)
                    * mpf(n) ** (1 - s) / s)
     return _trace_against_log_n(list(ys.indices()), ys.values, d)
 
@@ -285,19 +293,9 @@ def g_estimator(c, mu, sigma, dps=None) -> EstimatorTrace:
 def mu1_refined(c, mu, sigma, g, dps=None) -> RealSeries:
     """(log f_n - log f_{n-1}) / (n^sigma - (n-1)^sigma) with
     f_n = c_n / (n^g mu^n); limit is log(mu1)."""
-    if not mu > 0:
-        raise ValueError("mu must be positive")
-    logs = _logs(c, dps)
-    d = logs.dps
-    m, s, gg = to_mpf(mu, d), to_mpf(sigma, d), to_mpf(g, d)
-    with mpmath.workdps(d):
-        logmu = mpmath.log(m)
-
-    def logf(n, log_c):
-        return log_c - gg * mpmath.log(n) - n * logmu
-
-    return _pairwise(logs, lambda n, a, b: (logf(n, a) - logf(n - 1, b))
-                     / (mpf(n) ** s - mpf(n - 1) ** s))
+    logf = _log_model_ratio(c, mu, g, dps)
+    s = to_mpf(sigma, logf.dps)
+    return _pairwise(logf, lambda n, a, b: (a - b) / (mpf(n) ** s - mpf(n - 1) ** s))
 
 
 def _solve_window(rows, rhs, k, name) -> LinearFitWindow:

@@ -295,13 +295,6 @@ def _poly_mpf(coeffs, dps, scale):
     return [to_mpf(v / scale, dps) for v in coeffs]
 
 
-def _polyval(coeffs, z):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def singularities(da: DifferentialApproximant, dps=DEFAULT_DPS) -> list:
     """Roots of Q_M with local exponents from the indicial equation.
 
@@ -321,21 +314,18 @@ def singularities(da: DifferentialApproximant, dps=DEFAULT_DPS) -> list:
         tol = mpf(10) ** (-(dps // 2))
         coeffs_desc = list(reversed(qm))
         roots = mpmath.polyroots(coeffs_desc, maxsteps=200, extraprec=4 * dps)
-        qm1 = _poly_mpf(da.qs[M - 1], dps, scale=scale)
-        dqm = [j * qm[j] for j in range(1, len(qm))]
+        qm1_desc = list(reversed(_poly_mpf(da.qs[M - 1], dps, scale=scale)))
+        dqm_desc = [j * qm[j] for j in range(len(qm) - 1, 0, -1)]
         reports = []
         for z in roots:
-            resid = abs(_polyval(qm, z))
-            if abs(z) < tol:
-                reports.append(SingularityReport(z, None, True, resid))
-                continue
-            dval = _polyval(dqm, z)
+            resid = abs(mpmath.polyval(coeffs_desc, z))
+            dval = mpmath.polyval(dqm_desc, z)
             near_twin = any(abs(z - w) < tol * max(1, abs(z)) for w in roots
                             if w is not z)
-            if abs(dval) < tol or near_twin:
+            if abs(z) < tol or abs(dval) < tol or near_twin:
                 reports.append(SingularityReport(z, None, True, resid))
                 continue
-            gamma = 1 - M + _polyval(qm1, z) / (z * dval)
+            gamma = 1 - M + mpmath.polyval(qm1_desc, z) / (z * dval)
             reports.append(SingularityReport(z, gamma, False, resid))
         reports.sort(key=lambda r: (abs(r.location), r.location.real))
         return reports

@@ -310,13 +310,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if getattr(args, "precision", None) is not None:
-        if args.precision < 30:
-            print("error: usage: precision must be at least 30", file=sys.stderr)
-            return 2
-    if getattr(args, "terms", None) is not None and args.terms < 1:
-        print("error: usage: terms must be at least 1", file=sys.stderr)
-        return 2
+    if getattr(args, "precision", 30) < 30:
+        return _fail("usage", "precision must be at least 30", 2)
+    if getattr(args, "terms", 1) < 1:
+        return _fail("usage", "terms must be at least 1", 2)
     return args.func(args)
 
 

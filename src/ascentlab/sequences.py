@@ -101,22 +101,28 @@ def weak_reverse_complement(seq) -> tuple:
 
 
 def ascent_sequences(length):
-    """Yield every ascent sequence of the given length."""
+    """Yield every ascent sequence of the given length, in lexicographic
+    order.
+
+    A sequence is an ascent sequence exactly when every prefix is a weak
+    ascent sequence. Forward, by induction: append a letter x <= asc+1 to a
+    prefix whose maximum is at most its ascent count asc. If x rises past
+    the last letter, the count becomes asc+1 >= x; otherwise x is at most
+    the last letter, so at most asc. Backward: the one-letter prefix x is
+    weak only for x = 0, and a weak prefix ending in x has x <= its ascent
+    count <= asc+1, the ascent rule. `_weak_children` with no letter left
+    (remaining 0) keeps exactly the weak children among the letters
+    0..asc+1, so its layers grown from the prefix 0 are the ascent
+    sequences.
+    """
     if length == 0:
         yield ()
         return
-
-    def rec(prefix, asc):
-        if len(prefix) == length:
-            yield tuple(prefix)
-            return
-        last = prefix[-1]
-        for x in range(asc + 2):
-            prefix.append(x)
-            yield from rec(prefix, asc + (1 if last < x else 0))
-            prefix.pop()
-
-    yield from rec([0], 0)
+    layer = (((0,), 0, 0),)  # (prefix, ascents, maximum)
+    for _ in range(length - 1):
+        layer = _weak_children(layer, 0)
+    for seq, _, _ in layer:
+        yield seq
 
 
 def weak_ascent_sequences(length):

@@ -203,6 +203,20 @@ def test_g_estimator():
     assert abs(tr0.gradients[-1]) < mpf("0.1")
 
 
+def test_g_estimator_exact_on_model():
+    # on c_n = mu^n n^g, log d_n = g log n, so the trace is
+    # g ((n-1)^sigma log n - n^sigma log(n-1)) n^(1-sigma) / sigma exactly
+    p = an.StretchedFitParams(mu=STRETCHED.mu, sigma=STRETCHED.sigma, log_mu1=0,
+                              g=STRETCHED.g, C=1)
+    tr = an.g_estimator(an.synth_series(p, 120, dps=60), p.mu, p.sigma)
+    assert tr.ns == list(range(2, 121)) and tr.dps == 60
+    g, s = mpf(p.g), mpf(p.sigma)
+    for n, y in zip(tr.ns, tr.y):
+        want = (g * ((n - 1) ** s * mpmath.log(n) - mpf(n) ** s * mpmath.log(n - 1))
+                * mpf(n) ** (1 - s) / s)
+        assert abs(y - want) < mpf(10) ** -40, n
+
+
 def test_mu1_refined_exact_on_model():
     s = an.synth_series(STRETCHED, 120, dps=60)
     m = an.mu1_refined(s, STRETCHED.mu, STRETCHED.sigma, STRETCHED.g)

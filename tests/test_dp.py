@@ -119,7 +119,7 @@ def test_ascent_series_golden():
 def test_ascent_series_matches_product_generating_function():
     # independent check: A(t) = sum_n prod_{i=1..n} (1 - (1-t)^i), exact
     # integer polynomial arithmetic truncated at degree N
-    N = 40
+    N = 200
 
     def poly_mul(a, b):
         out = [0] * min(len(a) + len(b) - 1, N + 1)

@@ -70,11 +70,13 @@ def test_weak_ascent_examples():
 
 
 def test_weak_ascent_sequences_match_definition():
-    # a weak ascent sequence of length k has at most k-1 ascents, so every
+    # a (weak) ascent sequence of length k has at most k-1 ascents, so every
     # letter lies below k; product() yields the words in lexicographic order
-    for k in range(0, 7):
-        want = [s for s in product(range(k), repeat=k) if sq.is_weak_ascent_sequence(s)]
-        assert list(sq.weak_ascent_sequences(k)) == want, k
+    for generate, defined in ((sq.weak_ascent_sequences, sq.is_weak_ascent_sequence),
+                              (sq.ascent_sequences, sq.is_ascent_sequence)):
+        for k in range(0, 7):
+            want = [s for s in product(range(k), repeat=k) if defined(s)]
+            assert list(generate(k)) == want, (generate.__name__, k)
 
 
 def test_every_ascent_sequence_is_weak():

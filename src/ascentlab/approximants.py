@@ -313,7 +313,12 @@ def singularities(da: DifferentialApproximant, dps=DEFAULT_DPS) -> list:
     with mpmath.workdps(dps):
         tol = mpf(10) ** (-(dps // 2))
         coeffs_desc = list(reversed(qm))
-        roots = mpmath.polyroots(coeffs_desc, maxsteps=200, extraprec=4 * dps)
+        # Durand-Kerner converges only linearly on a multiple root, in steps
+        # that grow with the digits asked for: (1 - 2z)^2 takes 80 steps at
+        # dps 30, 250 at dps 100 and 490 at dps 200. polyroots stops once
+        # converged, so a larger cap changes no converged result.
+        roots = mpmath.polyroots(coeffs_desc, maxsteps=max(200, 4 * dps),
+                                 extraprec=4 * dps)
         qm1_desc = list(reversed(_poly_mpf(da.qs[M - 1], dps, scale=scale)))
         dqm_desc = [j * qm[j] for j in range(len(qm) - 1, 0, -1)]
         reports = []

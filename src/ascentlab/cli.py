@@ -269,7 +269,8 @@ def build_parser():
     pe.add_argument("--algo", default="dp", choices=algos)
     pe.add_argument("--terms", type=int, required=True,
                     help="count lengths 1..TERMS, at most a capped engine's cap: dp.CAPS for "
-                    "the set-state engines (a run at its cap fits a 4 GB memory budget), "
+                    "the set-state engines (a run at its cap fits a 4 GB memory budget; "
+                    "\"dp\" for 110 is the marked-repeat sweep, \"dp-exp\" the raw sweep), "
                     "sequences.ORACLE_CAP for brute; the layered engines have none")
     pe.add_argument("--output", required=True)
     pe.add_argument("--override-caps", action="store_true",

@@ -21,12 +21,18 @@ Two engine styles:
   letter values. Each pattern has one branch-free transition rule from a
   packed state key (see `_pack`) and a next letter to the child's key; it
   takes a Python int or a uint64 array alike. One forward sweep,
-  `_forward_series`, applies it to a whole layer of uint64 keys per letter
-  and sums equal children by sort and `reduceat`, once within each letter
-  and once across the letters. Its one hook is an optional canonical map
-  over uint64 keys: applied to the distinct children of each step, which
-  are then summed again, it folds states with equal counts into one
-  (`_canonical_120`, the sorted-gap form of 120 states).
+  `_forward_series`, applies a sweep rule to a whole layer of uint64 keys
+  per letter and sums equal children by sort and `reduceat`, once within
+  each letter and once across the letters. A sweep rule gives, per letter,
+  its children and a keep mask: one child, always kept, for the rules
+  above (`_single`), and up to two for the marked 110 rule
+  (`_rule_110_marked`), which drops the children that can no longer count.
+  The sweep has two hooks. An optional canonical map over uint64 keys,
+  applied to the distinct children of each step, which are then summed
+  again, folds states with equal counts into one (`_canonical_120`, the
+  sorted-gap form of 120 states; `_canonical_110`, the l map of marked 110
+  states). An optional accepting test picks the states that count (all of
+  them if none is given).
   Under the word rule, weights are int64 while the next layer's mass
   provably stays below `_WORD_LIMIT`. A memoized recursion through the
   same rule, one letter at a time and keyed by (n, a, l, S) with S
@@ -38,11 +44,11 @@ Two engine styles:
 gives each set-state engine, by name, the term cap that it checks; no other
 table here names the engines. The CLI and the dispatcher read `ENGINES`,
 and `verify` runs each of its engines once. "dp" names the fastest engine
-of a pattern: the layered sweeps for ascent, 000 and 100, the raw set-state
+of a pattern: the layered sweeps for ascent, 000 and 100, the marked-repeat
 sweep for 110, and the canonical sweep for 120. "dp-poly" is the layered
 000 engine again, and "dp-exp" the raw set-state sweep of 000, 110 and 120,
-which serves as the independent cross-check of the 000 and 120 "dp"
-engines (for 110 it is the "dp" engine itself).
+which serves as the independent cross-check of the 000, 110 and 120 "dp"
+engines.
 
 State conventions: `a` is the prior ascent count, `l` the previous letter;
 value erasures can drive either to -1, which needs no special handling.
@@ -345,6 +351,54 @@ def _next_s(S, i, s):
 _RULES = {"000": _rule_000, "110": _rule_110, "120": _rule_120}
 
 
+# A sweep rule maps a uint64 key array, a letter i, the s of each key and the
+# letters left after the child to (child keys, keep mask) pairs; a keep mask of
+# None keeps every child. Each rule of _RULES gives one child per letter
+# (`_single`); the marked 110 rule gives two.
+
+def _single(rule):
+    """A rule of _RULES as a sweep rule: its one child, always kept."""
+    return lambda keys, i, s, left: ((rule(keys, i, s), None),)
+
+
+def _rule_110_marked(keys, i, s, left):
+    """Children of marked 110 states (see `enumerate_110`) for the letter i.
+    The key's S field holds 0 and the pending marks M. `_rule_110`'s child
+    is the floor child at i = 0, the cut at i = min M and the marked child
+    at an unmarked i; at i >= 1 the second child erases i. A child is kept
+    where it exists and its marks fit the letters left."""
+    S = keys >> 16
+    marks = np.bitwise_count(S) - 1
+    child = _rule_110(keys, i, s)
+    if i == 0:
+        return ((child, marks <= left),)
+    new = (S >> i & 1) == 0
+    least = S & ((2 << i) - 1) == 1 | 1 << i
+    up = (i + 257 - (keys & 0xFF)) >> 8
+    erased = ((S & ((1 << i) - 1) | S >> (i + 1) << i) << 16
+              | (keys & 0xFF00) + (up << 8) - 256 | i + 1)
+    return ((child, new & (marks < left) | least & (marks <= left + 1)),
+            (erased, new & (marks <= left)))
+
+
+def _canonical_110(keys):
+    """The l map of marked 110 keys: l moves down to the largest value at or
+    below it that has children, 0, min M or an unmarked value (proved in
+    `enumerate_110`). Idempotent, and a, M are kept."""
+    S = keys >> 16
+    marks = S ^ 1
+    live = ~S | 1 | marks & (~marks + 1)
+    # live & (2 << l) - 1 holds bit 0 and lies below 2**53, so the float64 is
+    # exact and frexp gives its top bit plus one, the new l + 1
+    e = np.frexp((live & (np.uint64(2) << (keys & 0xFF) - 2) - 1).astype(np.float64))[1]
+    return keys >> 8 << 8 | (e + 1).astype(np.uint64)
+
+
+def _no_marks(keys):
+    """The marked 110 states that count: no pending mark."""
+    return keys >> 16 == 1
+
+
 def _canonical_120(keys):
     """Sorted-gap canonical form of 120 sweep keys: the gaps between
     consecutive elements of T = S ∩ [l, a+1] are put in ascending order
@@ -420,24 +474,26 @@ def _reduce(keys, weights):
     return k, np.add.reduceat(w, starts)
 
 
-def _sweep_step(rule, keys, weights, canonical=None):
+def _sweep_step(rule, keys, weights, left, canonical=None):
     """The next layer of a sweep: distinct child keys with summed weights.
 
     Parents come sorted by a (stably), and so do the children returned.
     Parents with a letter i (a+2 > i) are then a suffix, and each letter is
-    one rule call over that suffix, whose children are reduced on their own
-    to a run of distinct keys. The runs are then reduced once into the new
-    layer, so no summed key is sorted again. Measured on the step to length
-    n, the raw children are 12-16x the parent layer, and the runs sum to
-    2.1-3.5x it: 110 n=23, 287300 for 136032 parents; 000 n=21, 89776 for
-    34782; canonical 120 n=39, 47320 for 13417. A canonical map, if given,
-    is applied once to the new layer, which is then reduced again. Mapping
-    each run instead measured less memory at depth (201 MB against over
-    400 MB at 120 n=70) but took longer at n=33 (45 ms against 33 ms).
+    one call of the sweep rule over that suffix, with `left` the letters left
+    after the child. The kept children of its (children, keep mask) pairs
+    are reduced on their own to a run of distinct keys. The runs are then
+    reduced once into the new layer, so no summed key is sorted again.
+    Measured on the step to length n, the raw children are 12-16x the parent
+    layer, and the runs sum to 2.1-3.5x it: 110 n=23, 287300 for 136032
+    parents; 000 n=21, 89776 for 34782; canonical 120 n=39, 47320 for 13417.
+    A canonical map, if given, is applied once to the new layer, which is
+    then reduced again. Mapping each run instead measured less memory at
+    depth (201 MB against over 400 MB at 120 n=70) but took longer at n=33
+    (45 ms against 33 ms).
 
     A child that would set bit _S_BITS or above of S raises ValueError
-    before it joins the layer. The only bit a child can add to S is its l
-    (at most i), and the l byte stays exact even where the S field of the
+    before it joins the layer. A child adds at most the bit of its l (at
+    most i) to S, and the l byte stays exact even where the S field of the
     uint64 key has overflowed.
     """
     a2 = (keys >> 8 & 0xFF).astype(np.uint8)
@@ -445,13 +501,19 @@ def _sweep_step(rule, keys, weights, canonical=None):
     run_k, run_w = [], []
     for i in range(int(a2[-1])):
         lo = int(np.searchsorted(a2, i, side="right"))
-        k, w = _reduce([rule(keys[lo:], i, s[lo:])], [weights[lo:]])
+        kids, kid_w = [], []
+        for k, keep in rule(keys[lo:], i, s[lo:], left):
+            kids.append(k if keep is None else k[keep])
+            kid_w.append(weights[lo:] if keep is None else weights[lo:][keep])
+        s[lo:] = _next_s(keys[lo:] >> 16, i, s[lo:])
+        if not any(len(k) for k in kids):
+            continue
+        k, w = _reduce(kids, kid_w)
         if i >= _S_BITS and int((k & 0xFF).max()) >= _S_BITS + 2:
             raise ValueError(f"a child state sets bit {_S_BITS} or above of S, "
                              f"beyond the {_S_BITS}-bit sweep key")
         run_k.append(k)
         run_w.append(w)
-        s[lo:] = _next_s(keys[lo:] >> 16, i, s[lo:])
     keys, weights = _reduce(run_k, run_w)
     if canonical is not None:
         keys, weights = _reduce([canonical(keys)], [weights])
@@ -459,36 +521,40 @@ def _sweep_step(rule, keys, weights, canonical=None):
     return keys[order], weights[order]
 
 
-def _forward_series(variant, n_terms, canonical=None):
-    """One forward sweep over layers of packed prefix states; the mass at
-    depth d sums to the count at length d+1. A layer is a uint64 key array
-    and an array of weights, stepped by `_sweep_step` with the optional
-    canonical key map. Every state has a+2 children, so the last count is
-    the sum of w * (a+2) over the layer before it, and the largest layer is
-    never built.
+def _forward_series(rule, n_terms, canonical=None, accept=None, fanout=1):
+    """One forward sweep over layers of packed prefix states, from the state
+    of the prefix 0, (a, l, S) = (0, 0, {0}); the mass of the states at
+    depth d that `accept` passes (all of them if it is None) is the count
+    at length d+1. A layer is a uint64 key array and an array of weights,
+    stepped by `_sweep_step` with the sweep rule and the optional canonical
+    key map. With no accepting test, every state has a+2 children, so the
+    last count is the sum of w * (a+2) over the layer before it, and the
+    largest layer is never built.
 
-    Word bound (`_WORD_LIMIT`): weights start as int64. Before each step,
-    the layer's mass times its largest a+2 bounds the next layer's mass,
-    and so every child weight and every partial sum of a reduce, all
-    non-negative. The first time that bound reaches _WORD_LIMIT the weights
-    become exact Python ints in an object array, and stay so for the rest
-    of the run."""
+    Word bound (`_WORD_LIMIT`): weights start as int64. A letter gives a
+    state at most `fanout` children, so before each step the layer's mass
+    times its largest a+2 times fanout bounds the next layer's mass, and so
+    every child weight and every partial sum of a reduce, all non-negative.
+    The first time that bound reaches _WORD_LIMIT the weights become exact
+    Python ints in an object array, and stay so for the rest of the run."""
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     _pack(0, n_terms - 1, n_terms)  # deepest states: a <= n-1, l <= a+1 <= n
-    rule = _RULES[variant]
     keys = np.array([_pack(1, 0, 0)], dtype=np.uint64)
     weights = np.array([1], dtype=np.int64)
     terms = [1]
+    mass = 1
     for step in range(2, n_terms + 1):
         # keys are sorted by a, so the last has the largest a+2
-        if weights.dtype != object and terms[-1] * (int(keys[-1]) >> 8 & 0xFF) >= _WORD_LIMIT:
+        if (weights.dtype != object
+                and mass * (int(keys[-1]) >> 8 & 0xFF) * fanout >= _WORD_LIMIT):
             weights = weights.astype(object)
-        if step == n_terms:
+        if step == n_terms and accept is None:
             terms.append(int(np.dot(weights, (keys >> 8 & 0xFF).astype(weights.dtype))))
         else:
-            keys, weights = _sweep_step(rule, keys, weights, canonical)
-            terms.append(int(weights.sum()))
+            keys, weights = _sweep_step(rule, keys, weights, n_terms - step, canonical)
+            mass = int(weights.sum())
+            terms.append(mass if accept is None else int(weights[accept(keys)].sum()))
     return CoefficientSeries(terms, first_index=1)
 
 
@@ -573,13 +639,59 @@ def enumerate_000_exponential(n_terms, allow_over_cap=False) -> CoefficientSerie
     """000-avoider counts via the bit-set recursion (states O(n^3 2^n))."""
     check_cap("enumerate_000_exponential", n_terms,
               CAPS["enumerate_000_exponential"], allow_over_cap)
-    return _forward_series("000", n_terms)
+    return _forward_series(_single(_RULES["000"]), n_terms)
 
 
 def enumerate_110(n_terms, allow_over_cap=False) -> CoefficientSeries:
-    """110-avoider counts; repeats erase every smaller value."""
+    """110-avoider counts from the marked-repeat sweep over states (a, l, M).
+
+    In 110 a repeat of a value v kills every value below v, and only a
+    repeat does, so the raw sweep (`enumerate_110_exponential`) keeps every
+    value seen in S. Here each new value is guessed, when it is written, to
+    repeat later or never; every sequence fixes all the guesses, so each is
+    counted on exactly one path.
+
+    * A value guessed never to repeat is erased at once, as `_rule_000`
+      erases a proscribed value: it can no longer be the 11 of an
+      occurrence, and as a 0 it is already written.
+    * A value guessed to repeat is marked; M holds the pending marks, within
+      [1, a+1]. A repeat of v kills every value below v, so marks repeat in
+      increasing order and only min M may repeat. The floor 0 repeats freely
+      and kills nothing.
+
+    The key's S field holds {0} ∪ M, so the state of the prefix 0 and the
+    layout are the raw sweep's. With up = [l < i], letter i gives:
+
+    * i = 0: (a, 0, M);
+    * i = min M, a cut: (a + up - i, 0, M without i, shifted down by i);
+    * i in M above min M: no child, for min M would die unrepeated;
+    * any other i, a new value: erased, (a + up - 1, i - 1, M with the marks
+      above i shifted down one), or marked, (a + up, i, M ∪ {i}).
+
+    The first three and the marked child are `_rule_110`'s child, whose S is
+    {0} ∪ M (`_rule_110_marked`). A state counts when M is empty
+    (`_no_marks`). Cutting min M is a legal letter in every state, so a state
+    can empty M in |M| letters and in no fewer: a child with more marks than
+    letters left adds to no count up to n_terms, and the sweep drops it.
+
+    The l map (`_canonical_110`): l enters a child only through up, and
+    only 0, min M and the new values have children. So moving l down to the
+    largest of those at or below it, which never passes a letter that has
+    children, leaves every child and the count unchanged. Peak layers grow
+    1.43-1.45x per term (145078 states at n = 32), against 1.68x for the
+    raw sweep.
+    """
     check_cap("enumerate_110", n_terms, CAPS["enumerate_110"], allow_over_cap)
-    return _forward_series("110", n_terms)
+    return _forward_series(_rule_110_marked, n_terms, _canonical_110, _no_marks, fanout=2)
+
+
+def enumerate_110_exponential(n_terms, allow_over_cap=False) -> CoefficientSeries:
+    """110-avoider counts from the raw bit-set sweep, in which a repeat
+    erases every smaller value: the independent cross-check of
+    `enumerate_110`. Layers grow about 1.68x per term."""
+    check_cap("enumerate_110_exponential", n_terms,
+              CAPS["enumerate_110_exponential"], allow_over_cap)
+    return _forward_series(_single(_RULES["110"]), n_terms)
 
 
 def enumerate_120(n_terms, allow_over_cap=False) -> CoefficientSeries:
@@ -591,7 +703,7 @@ def enumerate_120(n_terms, allow_over_cap=False) -> CoefficientSeries:
     grow 1.13x per term near n = 60 (224573 states at n = 59), against
     1.33x for the raw sweep."""
     check_cap("enumerate_120", n_terms, CAPS["enumerate_120"], allow_over_cap)
-    return _forward_series("120", n_terms, _canonical_120)
+    return _forward_series(_single(_RULES["120"]), n_terms, _canonical_120)
 
 
 def enumerate_120_exponential(n_terms, allow_over_cap=False) -> CoefficientSeries:
@@ -600,7 +712,7 @@ def enumerate_120_exponential(n_terms, allow_over_cap=False) -> CoefficientSerie
     Layers grow about 1.33x per term (263965 states at n = 39)."""
     check_cap("enumerate_120_exponential", n_terms,
               CAPS["enumerate_120_exponential"], allow_over_cap)
-    return _forward_series("120", n_terms)
+    return _forward_series(_single(_RULES["120"]), n_terms)
 
 
 # (pattern, algo) -> name of the engine in this module; 'none' counts all
@@ -613,19 +725,21 @@ ENGINES = {
     ("000", "dp-exp"): "enumerate_000_exponential",
     ("100", "dp"): "enumerate_100",
     ("110", "dp"): "enumerate_110",
-    ("110", "dp-exp"): "enumerate_110",
+    ("110", "dp-exp"): "enumerate_110_exponential",
     ("120", "dp"): "enumerate_120",
     ("120", "dp-exp"): "enumerate_120_exponential",
 }
 # Term caps of the set-state engines, by engine name. One budget sets them:
 # a run at its cap peaks at no more than 4 GB RSS, half of an 8 GB machine,
 # as projected from runs 2-9 terms shorter (ru_maxrss on a 2-core VM: raw
-# 000 and 110 grow x1.6 per term, raw 120 x1.27). Canonical 120 would reach
-# about 89, but stays at 60 until its conjectured map (`_canonical_120`) is
-# checked deeper than n=50.
+# 000 and 110 grow x1.6 per term, raw 120 x1.27, marked 110 x1.37-1.40 from
+# 347 MB at n=38 and 647 MB at n=40). Canonical 120 would reach about 89,
+# but stays at 60 until its conjectured map (`_canonical_120`) is checked
+# deeper than n=50.
 CAPS = {
     "enumerate_000_exponential": 34,
-    "enumerate_110": 34,
+    "enumerate_110": 45,
+    "enumerate_110_exponential": 34,
     "enumerate_120": 60,
     "enumerate_120_exponential": 57,
 }

@@ -19,6 +19,8 @@ from __future__ import annotations
 import operator
 from itertools import combinations
 
+import numpy as np
+
 from .errors import check_cap
 from .series import CoefficientSeries
 
@@ -85,6 +87,25 @@ def contains_pattern(seq, pattern) -> bool:
         else:
             return True
     return False
+
+
+def contains_pattern_rows(rows, pattern):
+    """`contains_pattern` for each row of a 2-D integer array at once: a
+    row contains the pattern iff at some index tuple, in increasing order,
+    its letters have every pairwise `_cmp` relation of the pattern's
+    letters. The relation of each column pair is taken once, one byte per
+    row. Reads every index tuple; meant for short rows."""
+    relations = [(a, b, _cmp(pattern[a], pattern[b]))
+                 for a, b in combinations(range(len(pattern)), 2)]
+    rel = {(i, j): (rows[:, i] > rows[:, j]).astype(np.int8) - (rows[:, i] < rows[:, j])
+           for i, j in combinations(range(rows.shape[1]), 2)}
+    found = np.zeros(len(rows), dtype=bool)
+    for idx in combinations(range(rows.shape[1]), len(pattern)):
+        hit = np.ones(len(rows), dtype=bool)
+        for a, b, r in relations:
+            hit &= rel[idx[a], idx[b]] == r
+        found |= hit
+    return found
 
 
 def weak_reverse_complement(seq) -> tuple:
@@ -200,18 +221,6 @@ class _BlockedLetters(dict):
         blocked &= side[-r12]
         self[key] = blocked
         return blocked
-
-    def occurs_in(self, seq) -> bool:
-        """True iff seq contains the pattern, by one scan: a letter that an
-        earlier pair has blocked completes an occurrence. The oracles' rule
-        applied to one sequence."""
-        seen = blocked = 0
-        for x in seq:
-            if blocked >> x & 1:
-                return True
-            blocked |= self[seen, x]
-            seen |= 1 << x
-        return False
 
 
 def brute_force_avoiders(pattern, n_terms, weak=False,

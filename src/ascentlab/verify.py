@@ -3,18 +3,23 @@ checks between the enumerators, the brute-force oracles (forward sweeps
 over avoiding prefixes, `sequences.brute_force_avoiders`), closed forms, and
 the structural lemmas. Each engine of `dp.ENGINES` runs once, through
 `dp.enumerate_avoiders`, and every check that needs its series reads a
-prefix of that one run. Two engines merge set states, and each is checked
-against the raw sweep of its pattern: the polynomial 000 engine (S reduced
-to its size) and the canonical 120 engine (the gaps of S sorted, a merge
-that rests on a conjecture). The weak reverse-complement involution is
-checked on every weak ascent sequence up to length 7; each sequence is
-tested for 120 and its image for 201 in one scan, by the oracles'
-blocked-letter tables (`sequences._BlockedLetters.occurs_in`)."""
+prefix of that one run. Three engines transform set states, and each is
+checked against the raw sweep of its pattern: the polynomial 000 engine (S
+reduced to its size), the marked 110 engine (new values guessed to repeat
+or erased) and the canonical 120 engine (the gaps of S sorted, a merge
+that rests on a conjecture). The ascent series is checked against the
+Fishburn generating function. The weak reverse-complement involution is
+checked on the weak ascent sequences of each length up to 7 as one array,
+with containment read at every index triple
+(`sequences.contains_pattern_rows`)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from . import dp, sequences as sq
 
@@ -56,6 +61,8 @@ def run_checks(max_n=10) -> list:
 
     asc = run["none", "dp"][:6]
     check("golden-ascent-series", asc == [1, 2, 5, 15, 53, 217], f"got {asc}")
+    check("closed-form-ascent", run["none", "dp"][:max_n] == _fishburn(max_n),
+          f"n={max_n}")
 
     got000 = run["000", "dp"][:7]
     check("golden-000-prefix", got000 == [1, 2, 4, 10, 27, 83, 277], f"got {got000}")
@@ -87,6 +94,10 @@ def run_checks(max_n=10) -> list:
     # (dp._canonical_120), so its series is checked against the raw sweep
     check("canonical-equals-raw-120",
           run["120", "dp"][:n_pe] == run["120", "dp-exp"][:n_pe], f"n={n_pe}")
+    # the marked 110 engine rests on a proved transform (dp.enumerate_110);
+    # the raw sweep checks its code
+    check("marked-equals-raw-110",
+          run["110", "dp"][:n_pe] == run["110", "dp-exp"][:n_pe], f"n={n_pe}")
 
     n_weak = min(max_n, 9)
     w120 = sq.brute_force_avoiders("120", n_weak, weak=True).values
@@ -94,20 +105,8 @@ def run_checks(max_n=10) -> list:
     check("weak-theorem-120-vs-201", w120 == w201, f"n={n_weak}")
 
     n_inv = min(max_n - 2, 7)
-    # the letters of a weak ascent sequence of length k, and of its image,
-    # lie below k
-    has120 = sq._BlockedLetters((1, 2, 0), n_inv).occurs_in
-    has201 = sq._BlockedLetters((2, 0, 1), n_inv).occurs_in
-    ok_inv = True
-    for k in range(1, n_inv + 1):
-        for s in sq.weak_ascent_sequences(k):
-            m = sq.weak_reverse_complement(s)
-            if (sq.weak_reverse_complement(m) != tuple(s)
-                    or sq.ascent_count(m) != sq.ascent_count(s)
-                    or not sq.is_weak_ascent_sequence(m)
-                    or has120(s) != has201(m)):
-                ok_inv = False
-    check("reverse-complement-involution", ok_inv, f"lengths <= {n_inv}")
+    check("reverse-complement-involution",
+          all(_involution_holds(k) for k in range(1, n_inv + 1)), f"lengths <= {n_inv}")
 
     # c[k - 1] counts length k
     c000, c100, c110, c120 = (run[pat, "dp"] for pat in ("000", "100", "110", "120"))
@@ -131,6 +130,45 @@ def run_checks(max_n=10) -> list:
           f"000 fraction {rep.single_valued_fraction:.3f}, "
           f"110 fraction {rep110.single_valued_fraction:.3f}")
     return results
+
+
+def _fishburn(n_terms):
+    """Coefficients 1..n_terms of sum_{k>=0} prod_{i=1}^{k} (1 - (1-x)^i),
+    the generating function of the Fishburn numbers, which count ascent
+    sequences (Zagier 2001; Bousquet-Mélou, Claesson, Dukes and Kitaev
+    2010). The product for k has no term below x^k, so k <= n_terms."""
+    total = [0] * (n_terms + 1)
+    power = [1] + [0] * n_terms     # (1-x)^i
+    product = [1] + [0] * n_terms   # prod_{j<=i} (1 - (1-x)^j)
+    for _ in range(n_terms):
+        power = [p - q for p, q in zip(power, [0] + power)]
+        factor = [int(d == 0) - p for d, p in enumerate(power)]
+        product = [sum(product[j] * factor[d - j] for j in range(d + 1))
+                   for d in range(n_terms + 1)]
+        total = [t + p for t, p in zip(total, product)]
+    return total[1:]
+
+
+def _involution_holds(k):
+    """Whether the weak reverse-complement map, on the weak ascent
+    sequences of length k as one array, is an involution that keeps the
+    ascent count, maps to weak ascent sequences, and sends each sequence
+    that contains 120 to an image that contains 201 and back."""
+    # letters lie below k <= 7, so one byte holds each letter and its image
+    s = np.fromiter(chain.from_iterable(sq.weak_ascent_sequences(k)), dtype=np.int8).reshape(-1, k)
+    image = _reverse_complement(s)
+    ascents = (s[:, 1:] > s[:, :-1]).sum(axis=1)
+    image_ascents = (image[:, 1:] > image[:, :-1]).sum(axis=1)
+    return bool((_reverse_complement(image) == s).all()
+                and (image_ascents == ascents).all()
+                and (image.max(axis=1) <= image_ascents).all()
+                and (sq.contains_pattern_rows(s, (1, 2, 0))
+                     == sq.contains_pattern_rows(image, (2, 0, 1))).all())
+
+
+def _reverse_complement(rows):
+    """`sequences.weak_reverse_complement` of each row of an array."""
+    return (rows.max(axis=1, keepdims=True) + rows.min(axis=1, keepdims=True) - rows)[:, ::-1]
 
 
 def bijection_lemma_pairs_equal(cache):

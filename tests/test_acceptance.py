@@ -3,7 +3,8 @@
 Each criterion prints one PASS/FAIL line (run with `pytest -s` to watch).
 Expensive series are computed once in module-scoped fixtures; their wall
 times back the runtime criteria. The two criterion 4 series run at once, in
-two worker processes where the machine has two cores.
+two worker processes where the machine has two cores, and the raw 110 sweep
+that checks the marked 110 engine at n=30 runs in the same pool.
 
 Criterion 5's first clause (grouping the exponential-000 cache by
 (n,a,l,|S|) gives 100% single-valued groups) is implemented faithfully and
@@ -73,10 +74,13 @@ def dp_small(brute12):
 
 @pytest.fixture(scope="module")
 def criterion4_series():
-    """000 n=200 and 100 n=300, computed at once in a process pool; each
-    run is timed from its submit to its result."""
+    """000 n=200 and 100 n=300, computed at once in a process pool, and
+    the raw 110 sweep at n=30, which runs after the shorter of the two
+    (about 15 s and 600 MB); each run is timed from its submit to its
+    result."""
     jobs = {"poly200": (dp.enumerate_000_polynomial, 200),
-            "c100_300": (dp.enumerate_100, 300)}
+            "c100_300": (dp.enumerate_100, 300),
+            "raw110_30": (dp.enumerate_110_exponential, 30)}
     out = {}
     with ProcessPoolExecutor(min(2, os.cpu_count() or 1)) as pool:
         t0 = time.time()
@@ -152,6 +156,11 @@ def test_criterion_4_polynomial_vs_exponential(c000_200, c100_300):
     ok = ok and ok_t_poly and ok_t_100 and len(c000_200) == 200 and len(c100_300) == 300
     _report(4, ok, f"poly==exp to n=28; poly n=200 in {TIMINGS['poly200']:.0f}s<=300s; "
                    f"100-DP n=300 in {TIMINGS['c100_300']:.0f}s<=600s")
+
+
+def test_marked_110_equals_raw_sweep_through_30(criterion4_series):
+    # the marked engine against the raw sweep, each term through n=30
+    assert dp.enumerate_110(30).values == criterion4_series["raw110_30"].values
 
 
 @pytest.mark.xfail(strict=True, reason="spec overstatement: the swap lemma "

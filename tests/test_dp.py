@@ -89,24 +89,31 @@ def test_rules_agree_on_int_and_array_keys(variant, S, a, data):
 def test_sweep_key_guard():
     def step(rule, S, a, l):
         keys = np.array([dp._pack(S, a, l)], dtype=np.uint64)
-        keys, weights = dp._sweep_step(rule, keys, np.array([1], dtype=object))
+        keys, weights = dp._sweep_step(rule, keys, np.array([1], dtype=object), 60)
         return np.sort(keys), weights
 
     # 110 (a=47, l=0, S={0}): the new letter 48 would set bit 48 of S
     with pytest.raises(ValueError, match="bit 48"):
-        step(dp._rule_110, 1, 47, 0)
+        step(dp._single(dp._rule_110), 1, 47, 0)
     # one letter fewer sets at most bit 47; the layer equals the scalar rule's
-    keys, weights = step(dp._rule_110, 1, 46, 0)
+    keys, weights = step(dp._single(dp._rule_110), 1, 46, 0)
     want = sorted(dp._pack(S, a, l) for a, l, S in _children(dp._rule_110, 1, 46, 0))
     assert keys.tolist() == want and weights.tolist() == [1] * 48
     # 120 (a=50, S={0}): letter 48 has nothing below it in S but 0, so its
     # child sets bit 48
     with pytest.raises(ValueError, match="bit 48"):
-        step(dp._rule_120, 1, 50, 0)
+        step(dp._single(dp._rule_120), 1, 50, 0)
     # with 10 in S every child sets at most bit 41, so letters up to 51 pass:
     # the guard is on the bit set, not on a or on the letter
-    keys, _ = step(dp._rule_120, dp.bitset({0, 10}), 50, 0)
+    keys, _ = step(dp._single(dp._rule_120), dp.bitset({0, 10}), 50, 0)
     assert len(keys) == 52 and int((keys & 0xFF).max()) - 2 == 41
+    # marked 110 (a=47, l=0, no marks): marking the new letter 48 sets bit 48
+    with pytest.raises(ValueError, match="bit 48"):
+        step(dp._rule_110_marked, 1, 47, 0)
+    # at a=46 the marks reach bit 47: letters 1..47 each give an erased and
+    # a marked child, and erasing 1 gives the floor child again
+    keys, _ = step(dp._rule_110_marked, 1, 46, 0)
+    assert len(keys) == 2 * 47 and int((keys >> 16).max()) == 1 | 1 << 47
 
 
 def test_ascent_series_golden():
@@ -251,15 +258,18 @@ def test_layered_engines_switch_to_exact_ints_past_the_word_bound(monkeypatch):
         assert switched == sorted(set(switched)) and switched[-1] < RECURRENCE_N - 1
 
 
-SETSTATE_PREFIX_N = {dp.enumerate_000_exponential: 20, dp.enumerate_110: 20,
-                     dp.enumerate_120: 30, dp.enumerate_120_exponential: 30}
+SETSTATE_PREFIX_N = {dp.enumerate_000_exponential: 20, dp.enumerate_110: 26,
+                     dp.enumerate_110_exponential: 20, dp.enumerate_120: 30,
+                     dp.enumerate_120_exponential: 30}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(list(SETSTATE_PREFIX_N)), st.data())
 def test_setstate_prefix_consistency(engine, data):
     # the last count comes from the layer before it, sum w * (a+2), so every
-    # n takes that path at a different depth
+    # n takes that path at a different depth; the marked 110 sweep drops
+    # the states with more marks than letters left, so every n prunes
+    # differently
     N = SETSTATE_PREFIX_N[engine]
     n = data.draw(st.integers(1, N))
     assert engine(n).values == _full_run(engine, N)[:n]
@@ -270,6 +280,7 @@ def test_oracle_equivalence_small():
                     ("000", dp.enumerate_000_exponential),
                     ("100", dp.enumerate_100),
                     ("110", dp.enumerate_110),
+                    ("110", dp.enumerate_110_exponential),
                     ("120", dp.enumerate_120),
                     ("120", dp.enumerate_120_exponential)):
         assert fn(11).values == sq.brute_force_avoiders(pat, 11).values, pat
@@ -309,7 +320,7 @@ def test_memo_hits_count_cached_child_reads():
 def test_memo_engine_matches_forward():
     for variant in ("000", "110", "120"):
         series, cache = dp.enumerate_with_cache(variant, 12)
-        assert series.values == dp._forward_series(variant, 12).values
+        assert series.values == dp._forward_series(dp._single(dp._RULES[variant]), 12).values
         assert len(cache.data) > 0
 
 
@@ -325,7 +336,7 @@ def _raw_layers(variant, n_terms):
     weights = np.array([1], dtype=object)
     layers = [keys]
     for _ in range(n_terms - 2):
-        keys, weights = dp._sweep_step(dp._RULES[variant], keys, weights)
+        keys, weights = dp._sweep_step(dp._single(dp._RULES[variant]), keys, weights, n_terms)
         layers.append(keys)
     return np.concatenate(layers)
 
@@ -433,8 +444,8 @@ def test_sweep_step_matches_dict_step(sweep, data):
         for dtype, top in ((np.int64, 2 ** 40), (object, 2 ** 100)):
             drawn = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=16))
             weights = [drawn[j % len(drawn)] for j in range(len(keys))]
-            got_k, got_w = dp._sweep_step(rule, np.array(keys, dtype=np.uint64),
-                                          np.array(weights, dtype=dtype), canonical)
+            got_k, got_w = dp._sweep_step(dp._single(rule), np.array(keys, dtype=np.uint64),
+                                          np.array(weights, dtype=dtype), 0, canonical)
             assert got_k.dtype == np.uint64 and got_w.dtype == np.dtype(dtype)
             a2 = (got_k >> 8 & 0xFF).tolist()
             assert a2 == sorted(a2)
@@ -443,16 +454,95 @@ def test_sweep_step_matches_dict_step(sweep, data):
             assert dict(zip(got_k.tolist(), got_w.tolist())) == want
 
 
+def _marked_children(a, l, M, left):
+    """Children (a, l, M) of a marked 110 state by the transitions of
+    enumerate_110's docstring, M a frozenset of marks; those with more marks
+    than `left` are dropped."""
+    kids = []
+    for i in range(a + 2):
+        up = int(l < i)
+        if i == 0:
+            kids.append((a, 0, M))
+        elif i not in M:
+            kids.append((a + up - 1, i - 1, frozenset(m - (m > i) for m in M)))
+            kids.append((a + up, i, M | {i}))
+        elif i == min(M):
+            kids.append((a + up - i, 0, frozenset(m - i for m in M if m != i)))
+    return [k for k in kids if len(k[2]) <= left]
+
+
+def _marked_l_map(a, l, M):
+    """l moved down to the largest of 0, min M and the unmarked values at or
+    below it."""
+    return a, max(p for p in range(l + 1) if p == 0 or p not in M or p == min(M)), M
+
+
+def _marked_key(a, l, M):
+    return dp._pack(dp.bitset({0, *M}), a, l)
+
+
+@pytest.mark.parametrize("l_map", [False, True])
+def test_marked_110_step_matches_the_transitions(l_map):
+    # every layer of a run of 14, stepped by the sweep and by the
+    # transitions one state at a time, as distinct keys and summed weights
+    n_terms = 14
+    layer = {(0, 0, frozenset()): 1}
+    for step in range(2, n_terms + 1):
+        left = n_terms - step
+        packed = {_marked_key(*st): w for st, w in layer.items()}
+        keys = sorted(packed, key=lambda k: k >> 8 & 0xFF)
+        got_k, got_w = dp._sweep_step(dp._rule_110_marked, np.array(keys, dtype=np.uint64),
+                                      np.array([packed[k] for k in keys], dtype=np.int64),
+                                      left, dp._canonical_110 if l_map else None)
+        new = {}
+        for st, w in layer.items():
+            for kid in _marked_children(*st, left):
+                kid = _marked_l_map(*kid) if l_map else kid
+                new[kid] = new.get(kid, 0) + w
+        layer = new
+        assert dict(zip(got_k.tolist(), got_w.tolist())) == {
+            _marked_key(*st): w for st, w in layer.items()}, step
+    # the last layer holds only unmarked states, and they count length 14
+    assert all(not M for _, _, M in layer)
+    assert sum(layer.values()) == dp.enumerate_110_exponential(n_terms).values[-1]
+
+
+def test_marked_110_l_map():
+    # the map keeps a and M, moves l down only, is idempotent, and lands on
+    # 0, min M or an unmarked value
+    keys = []
+    for a in range(-1, 8):
+        for M in range(1 << (a + 1)):
+            S = 1 | M << 1           # marks within [1, a+1]
+            keys += [dp._pack(S, a, l) for l in range(a + 2)]
+    keys = np.array(keys, dtype=np.uint64)
+    canon = dp._canonical_110(keys)
+    assert (dp._canonical_110(canon) == canon).all()
+    for key, c in zip(keys.tolist(), canon.tolist()):
+        (a, l, S), (ca, cl, cS) = dp._unpack(key), dp._unpack(c)
+        M = frozenset(v for v in range(1, S.bit_length()) if S >> v & 1)
+        assert (ca, cl, cS) == (a, _marked_l_map(a, l, M)[1], S)
+
+
+def test_marked_110_with_and_without_the_l_map():
+    # the map is proved sound (dp.enumerate_110); the sweep without it
+    # gives the same series through n=32
+    n = 32
+    plain = dp._forward_series(dp._rule_110_marked, n, None, dp._no_marks, fanout=2)
+    assert plain.values == dp.enumerate_110(n).values
+
+
 def test_weights_switch_to_exact_ints_past_the_word_bound(monkeypatch):
     engines = {dp.enumerate_000_exponential: 16, dp.enumerate_110: 16,
-               dp.enumerate_120: 24, dp.enumerate_120_exponential: 24}
+               dp.enumerate_110_exponential: 16, dp.enumerate_120: 24,
+               dp.enumerate_120_exponential: 24}
     want = {engine: engine(n).values for engine, n in engines.items()}
     dtypes = []
     step = dp._sweep_step
 
-    def recording_step(rule, keys, weights, canonical=None):
+    def recording_step(rule, keys, weights, *args):
         dtypes.append(weights.dtype)
-        return step(rule, keys, weights, canonical)
+        return step(rule, keys, weights, *args)
 
     monkeypatch.setattr(dp, "_sweep_step", recording_step)
     monkeypatch.setattr(dp, "_WORD_LIMIT", 1000)
@@ -476,6 +566,7 @@ def test_against_direct_state_safeguards():
     # independent machines with raw value-set states; beyond the oracle cap
     assert dp.enumerate_100(21).values == sg.direct_count_100(21)
     assert dp.enumerate_110(16).values == sg.direct_count_110(16)
+    assert dp.enumerate_110_exponential(16).values == sg.direct_count_110(16)
     assert dp.enumerate_000_polynomial(18).values == sg.direct_count_000(18)
     assert dp.enumerate_120(16).values == sg.direct_count_120(16)
     assert dp.enumerate_120_exponential(16).values == sg.direct_count_120(16)
@@ -498,11 +589,10 @@ def test_caps(monkeypatch):
     # any sweep starts, and reaches the sweep at its cap
     assert set(dp.CAPS) <= set(dp.ENGINES.values())
 
-    def no_sweep(key, i, s):
+    def no_sweep(*args):
         raise AssertionError("sweep started")
     with monkeypatch.context() as m:
-        for variant in dp._RULES:
-            m.setitem(dp._RULES, variant, no_sweep)
+        m.setattr(dp, "_sweep_step", no_sweep)
         for name, cap in dp.CAPS.items():
             with pytest.raises(CapExceededError, match=f"^{name} capped at {cap} terms"):
                 getattr(dp, name)(cap + 1)
@@ -552,7 +642,7 @@ def test_sweep_rejects_unpackable_runs(monkeypatch):
         dp.enumerate_120(300, allow_over_cap=True)
     # the longest packable run does reach the sweep
     with pytest.raises(AssertionError, match="sweep started"):
-        dp._forward_series("120", dp._FIELD_TOP)
+        dp._forward_series(dp._single(dp._RULES["120"]), dp._FIELD_TOP)
 
 
 def test_dispatch():

@@ -12,6 +12,7 @@ from decimal import Decimal, localcontext
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from mpmath import mpf
 
@@ -450,10 +451,13 @@ def test_cli_write_error_prefix(tmp_path, capsys):
 def test_cli_verify_quick(capsys):
     assert run_cli("verify", "--max-n", "6") == 0
     out = capsys.readouterr().out
-    # the two 120 engines are distinct, so the oracle checks each, and the
-    # canonical one is checked against the raw sweep at max_n + 6
+    # the two 120 engines are distinct, so the oracle checks each; the
+    # canonical 120 and marked 110 engines are checked against their raw
+    # sweeps at max_n + 6, and the ascent engine against the Fishburn
+    # generating function at max_n
     for line in ("oracle-equivalence-120-dp", "oracle-equivalence-120-dp-exp",
-                 "canonical-equals-raw-120 +n=12"):
+                 "canonical-equals-raw-120 +n=12", "marked-equals-raw-110 +n=12",
+                 "closed-form-ascent +n=6"):
         assert re.search(f"^PASS {line} *$", out, re.M), line
 
 
@@ -463,7 +467,7 @@ def test_cli_verify_top_of_range(capsys):
     assert run_cli("verify", "--max-n", str(top)) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.endswith("26/26 checks passed\n")
+    assert out.endswith("28/28 checks passed\n")
 
 
 def test_verify_runs_each_engine_once(monkeypatch):
@@ -485,12 +489,23 @@ def test_verify_involution_check_fails_for_broken_maps(monkeypatch):
         return {r.name: r.ok for r in ver.run_checks(6)}["reverse-complement-involution"]
 
     assert involution_ok()
-    broken = {"reversal only": lambda s: tuple(reversed(s)),
-              "identity": tuple,
-              "complement only": lambda s: tuple(max(s) + min(s) - v for v in s)}
+    broken = {"reversal only": lambda rows: rows[:, ::-1],
+              "identity": lambda rows: rows,
+              "complement only": lambda rows: (rows.max(axis=1, keepdims=True)
+                                               + rows.min(axis=1, keepdims=True) - rows)}
     for label, bad_map in broken.items():
-        monkeypatch.setattr(sq, "weak_reverse_complement", bad_map)
+        monkeypatch.setattr(ver, "_reverse_complement", bad_map)
         assert not involution_ok(), label
+
+
+def test_verify_reverse_complement_rows_match_the_map():
+    # the array map that verify checks is sequences.weak_reverse_complement,
+    # row by row, on every weak ascent sequence of length <= 7
+    for k in range(1, 8):
+        seqs = list(sq.weak_ascent_sequences(k))
+        rows = ver._reverse_complement(np.array(seqs, dtype=np.int64))
+        assert [tuple(r) for r in rows.tolist()] == [sq.weak_reverse_complement(s)
+                                                     for s in seqs], k
 
 
 def test_cli_verify_series_file(tmp_path, capsys):
@@ -518,10 +533,9 @@ def test_cli_verify_series_file_past_cap(tmp_path, capsys, monkeypatch):
               if algo == "dp" and name in dp.CAPS}
     assert capped
 
-    def no_sweep(key, i, s):
+    def no_sweep(*args):
         raise AssertionError("sweep started")
-    for variant in dp._RULES:
-        monkeypatch.setitem(dp._RULES, variant, no_sweep)
+    monkeypatch.setattr(dp, "_sweep_step", no_sweep)
     src = tmp_path / "s.b"
     for pattern, name in capped.items():
         src.write_bytes(b"".join((REF_DIR / f"{pattern}.b").read_bytes()

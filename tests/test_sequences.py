@@ -4,6 +4,7 @@ import math
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -251,24 +252,26 @@ def test_blocked_letters_match_definition_at_width_7():
                 assert blocks[seen, x] == want, (p, seen, x)
 
 
-def test_occurs_in_matches_definition():
-    # the one-pass scan against contains_pattern on every ascent sequence of
-    # length <= 8 and every weak ascent sequence of length <= 7, all of
-    # whose letters lie below 8
-    seqs = [s for k in range(1, 9) for s in sq.ascent_sequences(k)]
-    seqs += [s for k in range(1, 8) for s in sq.weak_ascent_sequences(k)]
-    assert len(seqs) == 20938
+def test_contains_pattern_rows_matches_definition():
+    # the array form against contains_pattern on every ascent sequence of
+    # length <= 8 and every weak ascent sequence of length <= 7, one array
+    # per family and length; the rows of weak length 7 are what verify's
+    # involution check tests for 120 and 201
+    groups = [list(sq.ascent_sequences(k)) for k in range(1, 9)]
+    groups += [list(sq.weak_ascent_sequences(k)) for k in range(1, 8)]
+    assert sum(map(len, groups)) == 20938
     for p in LENGTH3_PATTERNS:
-        blocks = sq._BlockedLetters(p, 8)
-        for s in seqs:
-            assert blocks.occurs_in(s) == sq.contains_pattern(s, p), (p, s)
+        for seqs in groups:
+            got = sq.contains_pattern_rows(np.array(seqs, dtype=np.int64), p)
+            assert got.tolist() == [sq.contains_pattern(s, p) for s in seqs], p
 
 
 def test_blocked_letters_reject_letters_outside_width():
     blocks = sq._BlockedLetters((1, 2, 0), 3)
-    assert not blocks.occurs_in((0, 1, 2))
+    # after 0 1, the letter 2 blocks 0 for 120
+    assert blocks[0b011, 2] == 0b001
     with pytest.raises(ValueError, match="outside the table's width 3"):
-        blocks.occurs_in((0, 1, 3))
+        blocks[0b011, 3]
 
 
 def test_weak_counts_match_definition():

@@ -18,25 +18,24 @@ Two engine styles:
   about one layer, and they follow the word bound (`_past_word_bound`).
   Used where hundreds of terms are wanted.
 * Set-state engines (exponential 000, 110, 120): states carry a bit-set of
-  letter values. Each pattern has one branch-free transition rule from a
-  packed state key (see `_pack`) and a next letter to the child's key; it
-  takes a Python int or a uint64 array alike. One forward sweep,
-  `_forward_series`, applies a sweep rule to a whole layer of uint64 keys
-  per letter and sums equal children by sort and `reduceat`, once within
-  each letter and once across the letters. A sweep rule gives, per letter,
-  its children and a keep mask: one child, always kept, for the rules
-  above (`_single`), and up to two for the marked 110 rule
+  letter values. Each pattern has one transition rule from a packed state
+  key (see `_pack`) and a next letter to the child's key, for a Python int
+  or a uint64 array alike; only `_top_bit` dispatches on the key type. One
+  forward sweep, `_forward_series`, applies a sweep rule to a whole layer of
+  uint64 keys per letter and sums equal children by sort and `reduceat`,
+  once within each letter and once across the letters. A sweep rule gives,
+  per letter, its children and a keep mask: one child, always kept, for the
+  rules above (`_single`), and up to two for the marked 110 rule
   (`_rule_110_marked`), which drops the children that can no longer count.
   The sweep has two hooks. An optional canonical map over uint64 keys,
   applied to the distinct children of each step, which are then summed
   again, folds states with equal counts into one (`_canonical_120`, the
   sorted-gap form of 120 states; `_canonical_110`, the l map of marked 110
   states). An optional accepting test picks the states that count (all of
-  them if none is given).
-  Under the word rule, weights are int64 while the next layer's mass
-  provably stays below `_WORD_LIMIT`. A memoized recursion through the
-  same rule, one letter at a time and keyed by (n, a, l, S) with S
-  unbounded, produces an introspectable value cache;
+  them if none is given). Under the word rule, weights are int64 while the
+  next layer's mass provably stays below `_WORD_LIMIT`. A memoized recursion
+  through the same rule, one letter at a time and keyed by (n, a, l, S) with
+  S unbounded, produces an introspectable value cache;
   `cache_repetition_report` groups its values by (n, a, l, |S|) or by a
   caller's projection of the key.
 
@@ -306,13 +305,20 @@ def _unpack(key):
     return (key >> 8 & 0xFF) - 2, (key & 0xFF) - 2, key >> 16
 
 
-# A rule maps a state's key and a next letter i (0 <= i <= a+1) to the child's
-# key; s is the largest value of S below i, or 0 (see `_next_s`). Rules are
-# branch-free and every intermediate stays non-negative, so one rule serves a
-# Python-int key and a uint64 key array alike. up = [l < i] adds an ascent
-# (256 in the a field): l+2 <= i+1 exactly when i + 257 - (l+2) >= 256.
+def _top_bit(x):
+    """Index of the top set bit of x > 0: a Python int's `bit_length() - 1`,
+    and for a uint64 array with entries below 2**53, which float64 holds
+    exactly, each entry's frexp exponent e (2**(e-1) <= x < 2**e) less 1."""
+    return (x.bit_length() - 1 if isinstance(x, int)
+            else np.frexp(x.astype(np.float64))[1].astype(np.uint64) - 1)
 
-def _rule_000(key, i, s):
+
+# A rule maps a key and a next letter i (0 <= i <= a+1) to the child's key.
+# Only `_top_bit` branches, on the key type, and intermediates stay >= 0, so
+# one rule serves a Python-int key and a uint64 key array alike. up = [l < i]
+# adds an ascent (256 in the a field): l+2 <= i+1 iff i + 257 - (l+2) >= 256.
+
+def _rule_000(key, i):
     """Child of a 000 state. A letter i in S is now proscribed: erase it,
     closing the gap in S, and a, l shift down."""
     S = key >> 16
@@ -323,7 +329,7 @@ def _rule_000(key, i, s):
             | (key & 0xFF00) + (up << 8) - (bit << 8) | i + 2 - bit)
 
 
-def _rule_110(key, i, s):
+def _rule_110(key, i):
     """Child of a 110 state. A letter i in S: everything below i dies, i
     itself renumbers to 0 and stays in the set, and the last letter is 0."""
     S = key >> 16
@@ -334,34 +340,30 @@ def _rule_110(key, i, s):
             | (key & 0xFF00) + (up << 8) - (cut << 8) | i + 2 - cut)
 
 
-def _rule_120(key, i, s):
-    """Child of a 120 state. Everything below s, the largest seen value
-    under i, dies; the shifted letter i-s joins the shifted set, so S always
-    retains 0."""
+def _rule_120(key, i):
+    """Child of a 120 state. Everything below s dies, s the largest value of
+    S below i, or 0 if there is none; the shifted letter i-s joins the
+    shifted set, so S always retains 0."""
+    S = key >> 16
+    s = _top_bit(S - (S >> i << i) | 1)
     up = (i + 257 - (key & 0xFF)) >> 8
-    return ((key >> 16 >> s | 1 << (i - s)) << 16
+    return ((S >> s | 1 << (i - s)) << 16
             | (key & 0xFF00) + (up << 8) - (s << 8) | i + 2 - s)
-
-
-def _next_s(S, i, s):
-    """s for letter i+1 from s for letter i: i itself if i is in S."""
-    return s + (S >> i & 1) * (i - s)
 
 
 _RULES = {"000": _rule_000, "110": _rule_110, "120": _rule_120}
 
 
-# A sweep rule maps a uint64 key array, a letter i, the s of each key and the
-# letters left after the child to (child keys, keep mask) pairs; a keep mask of
-# None keeps every child. Each rule of _RULES gives one child per letter
-# (`_single`); the marked 110 rule gives two.
+# A sweep rule maps a uint64 key array, a letter i and the letters left after
+# the child to (child keys, keep mask) pairs; a keep mask of None keeps every
+# child. Each rule of _RULES gives one child (`_single`); marked 110 gives two.
 
 def _single(rule):
     """A rule of _RULES as a sweep rule: its one child, always kept."""
-    return lambda keys, i, s, left: ((rule(keys, i, s), None),)
+    return lambda keys, i, left: ((rule(keys, i), None),)
 
 
-def _rule_110_marked(keys, i, s, left):
+def _rule_110_marked(keys, i, left):
     """Children of marked 110 states (see `enumerate_110`) for the letter i.
     The key's S field holds 0 and the pending marks M. `_rule_110`'s child
     is the floor child at i = 0, the cut at i = min M and the marked child
@@ -369,7 +371,7 @@ def _rule_110_marked(keys, i, s, left):
     where it exists and its marks fit the letters left."""
     S = keys >> 16
     marks = np.bitwise_count(S) - 1
-    child = _rule_110(keys, i, s)
+    child = _rule_110(keys, i)
     if i == 0:
         return ((child, marks <= left),)
     new = (S >> i & 1) == 0
@@ -388,10 +390,8 @@ def _canonical_110(keys):
     S = keys >> 16
     marks = S ^ 1
     live = ~S | 1 | marks & (~marks + 1)
-    # live & (2 << l) - 1 holds bit 0 and lies below 2**53, so the float64 is
-    # exact and frexp gives its top bit plus one, the new l + 1
-    e = np.frexp((live & (np.uint64(2) << (keys & 0xFF) - 2) - 1).astype(np.float64))[1]
-    return keys >> 8 << 8 | (e + 1).astype(np.uint64)
+    l = _top_bit(live & (np.uint64(2) << (keys & 0xFF) - 2) - 1)
+    return keys >> 8 << 8 | l + 2
 
 
 def _no_marks(keys):
@@ -497,15 +497,13 @@ def _sweep_step(rule, keys, weights, left, canonical=None):
     uint64 key has overflowed.
     """
     a2 = (keys >> 8 & 0xFF).astype(np.uint8)
-    s = np.zeros_like(keys)
     run_k, run_w = [], []
     for i in range(int(a2[-1])):
         lo = int(np.searchsorted(a2, i, side="right"))
         kids, kid_w = [], []
-        for k, keep in rule(keys[lo:], i, s[lo:], left):
+        for k, keep in rule(keys[lo:], i, left):
             kids.append(k if keep is None else k[keep])
             kid_w.append(weights[lo:] if keep is None else weights[lo:][keep])
-        s[lo:] = _next_s(keys[lo:] >> 16, i, s[lo:])
         if not any(len(k) for k in kids):
             continue
         k, w = _reduce(kids, kid_w)
@@ -614,11 +612,10 @@ def suffix_count(variant, n, a, l, S, cache=None):
         if kn == 1:
             total = packed >> 8 & 0xFF  # a+2 children, each a base case
         else:
-            total, s = 0, 0
+            total = 0
             for i in range(packed >> 8 & 0xFF):
-                nk = rule(packed, i, s)
+                nk = rule(packed, i)
                 total += count((kn - 1, *_unpack(nk)), nk)
-                s = _next_s(key[3], i, s)
         cache.misses += 1
         data[key] = total
         return total

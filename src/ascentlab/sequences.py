@@ -74,12 +74,17 @@ def _cmp(a, b):
     return (a > b) - (a < b)
 
 
+def _relations(pattern):
+    """(a, b, _cmp(pattern[a], pattern[b])) for index pairs a < b, in order."""
+    return [(a, b, _cmp(pattern[a], pattern[b]))
+            for a, b in combinations(range(len(pattern)), 2)]
+
+
 def contains_pattern(seq, pattern) -> bool:
     """True iff some subsequence of seq is order-isomorphic to pattern
     (strict inequalities and equalities both preserved). Scans every
     k-subsequence, k = len(pattern); meant for short sequences."""
-    relations = [(a, b, _cmp(pattern[a], pattern[b]))
-                 for a, b in combinations(range(len(pattern)), 2)]
+    relations = _relations(pattern)
     for sub in combinations(seq, len(pattern)):
         for a, b, rel in relations:
             if _cmp(sub[a], sub[b]) != rel:
@@ -92,11 +97,10 @@ def contains_pattern(seq, pattern) -> bool:
 def contains_pattern_rows(rows, pattern):
     """`contains_pattern` for each row of a 2-D integer array at once: a
     row contains the pattern iff at some index tuple, in increasing order,
-    its letters have every pairwise `_cmp` relation of the pattern's
-    letters. The relation of each column pair is taken once, one byte per
-    row. Reads every index tuple; meant for short rows."""
-    relations = [(a, b, _cmp(pattern[a], pattern[b]))
-                 for a, b in combinations(range(len(pattern)), 2)]
+    its letters have every pairwise relation of the pattern (`_relations`).
+    The relation of each column pair is taken once, one byte per row. Reads
+    every index tuple; meant for short rows."""
+    relations = _relations(pattern)
     rel = {(i, j): (rows[:, i] > rows[:, j]).astype(np.int8) - (rows[:, i] < rows[:, j])
            for i, j in combinations(range(rows.shape[1]), 2)}
     found = np.zeros(len(rows), dtype=bool)
@@ -187,8 +191,8 @@ class _BlockedLetters(dict):
     x to a prefix with letter set `seen` blocks for good.
 
     z is blocked iff some u in `seen` makes (u, x, z) an occurrence, read off
-    the pattern's three `_cmp` relations, so `_cmp` stays the one definition
-    of the pattern. An entry is built from bit masks: `side[r]` holds the
+    the pattern's three `_relations`, so they stay the one definition of the
+    pattern. An entry is built from bit masks: `side[r]` holds the
     letters v below `width` with _cmp(v, x) == r, the candidates u are
     `seen & side[r01]`, and z must lie above the least of them, among them,
     or below the greatest (by r02) and in `side[-r12]`. Entries depend only
@@ -198,8 +202,7 @@ class _BlockedLetters(dict):
 
     def __init__(self, pattern, width):
         super().__init__()
-        p0, p1, p2 = pattern
-        self.relations = _cmp(p0, p1), _cmp(p0, p2), _cmp(p1, p2)
+        self.relations = [r for _, _, r in _relations(pattern)]
         self.width = width
 
     def __missing__(self, key):

@@ -16,11 +16,8 @@ import safeguards as sg
 
 def _children(rule, S, a, l):
     """(a, l, S) of each child of state (a, l, S), indexed by the next letter."""
-    key, kids, s = dp._pack(S, a, l), [], 0
-    for i in range(a + 2):
-        kids.append(dp._unpack(rule(key, i, s)))
-        s = dp._next_s(S, i, s)
-    return kids
+    key = dp._pack(S, a, l)
+    return [dp._unpack(rule(key, i)) for i in range(a + 2)]
 
 
 def test_ascent_indicator():
@@ -63,6 +60,13 @@ def test_largest_below():
     assert kids[4] == (4, 2, dp.bitset({0, 2, 3}))
     assert kids[0] == (5, 0, S)
     assert _children(dp._rule_120, 1, 2, 0)[3] == (3, 3, dp.bitset({0, 3}))
+    # a Python int key reads s exactly at any width: 2**54 - 1 rounds up to
+    # 2**54 as a float64, which would read s = 54
+    assert _children(dp._rule_120, dp.bitset(range(54)), 53, 0)[54] == (1, 1, dp.bitset({0, 1}))
+    # a uint64 key reads s at a letter past 63 too, where no uint64 mask
+    # (1 << i) - 1 exists
+    key = dp._pack(dp.bitset({0, 3, 40}), 80, 5)
+    assert int(dp._rule_120(np.array([key], dtype=np.uint64), 70)[0]) == dp._rule_120(key, 70)
 
 
 @settings(max_examples=200, deadline=None)
@@ -77,13 +81,15 @@ def test_rules_agree_on_int_and_array_keys(variant, S, a, data):
     pos = data.draw(st.integers(0, len(others)))
     rule, key = dp._RULES[variant], dp._pack(S, a, l)
     keys = np.array(others[:pos] + [key] + others[pos:], dtype=np.uint64)
-    s, s_arr = 0, np.zeros_like(keys)
+    values = {v for v in range(dp._S_BITS) if S >> v & 1}
     for i in range(a + 2):
-        kids = rule(keys, i, s_arr)
+        kids = rule(keys, i)
         assert kids.dtype == np.uint64
-        assert int(kids[pos]) == rule(key, i, s), (variant, i)
-        s, s_arr = dp._next_s(S, i, s), dp._next_s(keys >> 16, i, s_arr)
-        assert s_arr.dtype == np.uint64 and int(s_arr[pos]) == s
+        kid = rule(key, i)
+        assert int(kids[pos]) == kid, (variant, i)
+        if variant == "120":
+            # l' = i - s, s the largest value of S below i, or 0
+            assert dp._unpack(kid)[1] == i - max({v for v in values if v < i} | {0})
 
 
 def test_sweep_key_guard():
@@ -400,11 +406,9 @@ def _dict_step(rule, layer, canonical=None):
     `canonical` and summed again."""
     kids = {}
     for key, w in layer.items():
-        s = 0
         for i in range(key >> 8 & 0xFF):
-            kid = rule(key, i, s)
+            kid = rule(key, i)
             kids[kid] = kids.get(kid, 0) + w
-            s = dp._next_s(key >> 16, i, s)
     if canonical is None:
         return kids
     out = {}
@@ -635,7 +639,7 @@ def test_length_guards():
 
 
 def test_sweep_rejects_unpackable_runs(monkeypatch):
-    def no_sweep(key, i, s):
+    def no_sweep(key, i):
         raise AssertionError("sweep started")
     monkeypatch.setitem(dp._RULES, "120", no_sweep)
     with pytest.warns(UserWarning), pytest.raises(ValueError, match="key fields"):

@@ -42,12 +42,12 @@ Two engine styles:
 `ENGINES` maps each (pattern, algorithm) pair to its engine, and `CAPS`
 gives each set-state engine, by name, the term cap that it checks; no other
 table here names the engines. The CLI and the dispatcher read `ENGINES`,
-and `verify` runs each of its engines once. "dp" names the fastest engine
-of a pattern: the layered sweeps for ascent, 000 and 100, the marked-repeat
-sweep for 110, and the canonical sweep for 120. "dp-poly" is the layered
-000 engine again, and "dp-exp" the raw set-state sweep of 000, 110 and 120,
-which serves as the independent cross-check of the 000, 110 and 120 "dp"
-engines.
+and `verify` checks each distinct engine once, under its first key. "dp"
+names the fastest engine of a pattern: the layered sweeps for ascent, 000
+and 100, the marked-repeat sweep for 110, and the canonical sweep for 120.
+"dp-poly" is the layered 000 engine again, kept because the benchmark's
+layered-deep workload names it. "dp-exp" is the raw set-state sweep of 000,
+110 and 120, the independent cross-check of their "dp" engines.
 
 State conventions: `a` is the prior ascent count, `l` the previous letter;
 value erasures can drive either to -1, which needs no special handling.
@@ -427,7 +427,8 @@ def _canonical_120(keys):
     R = {g_{m+2}, ...}, against the same sum with x and y traded: the
     children of one letter have equal a but different gap multisets, and no
     term-by-term pairing matches them. The conjecture is checked, not
-    proved: the canonical sweep gives the raw sweep's series through n=50,
+    proved: the canonical sweep gives the raw sweep's series through n=50
+    (`tests/test_acceptance.py::test_canonical_120_equals_raw_sweep_through_50`),
     and `verify` checks it again at desk scale (canonical-equals-raw-120).
 
     Vectorised over a uint64 key array: each pass reads the lowest gap of
@@ -693,12 +694,12 @@ def enumerate_110_exponential(n_terms, allow_over_cap=False) -> CoefficientSerie
 
 def enumerate_120(n_terms, allow_over_cap=False) -> CoefficientSeries:
     """120-avoider counts from the sweep over sorted-gap canonical states
-    (`_canonical_120`; the map rests on a conjecture checked against
-    `enumerate_120_exponential` through n=50). A state is l, the multiset
-    of gaps of T and the top gap, which sum to a + 1 <= n, so a layer holds
-    O(n^3 p(n)) states at most, p the partition function. Measured, layers
-    grow 1.13x per term near n = 60 (224573 states at n = 59), against
-    1.33x for the raw sweep."""
+    (`_canonical_120`; the map rests on a conjecture, checked against the
+    raw sweep through n=50 by `test_canonical_120_equals_raw_sweep_through_50`).
+    A state is l, the multiset of gaps of T and the top gap, which sum to
+    a + 1 <= n, so a layer holds O(n^3 p(n)) states at most, p the partition
+    function. Measured, layers grow 1.13x per term near n = 60 (224573
+    states at n = 59), against 1.33x for the raw sweep."""
     check_cap("enumerate_120", n_terms, CAPS["enumerate_120"], allow_over_cap)
     return _forward_series(_single(_RULES["120"]), n_terms, _canonical_120)
 
@@ -718,7 +719,7 @@ def enumerate_120_exponential(n_terms, allow_over_cap=False) -> CoefficientSerie
 ENGINES = {
     ("none", "dp"): "enumerate_ascent",
     ("000", "dp"): "enumerate_000_polynomial",
-    ("000", "dp-poly"): "enumerate_000_polynomial",
+    ("000", "dp-poly"): "enumerate_000_polynomial",  # named by the benchmark
     ("000", "dp-exp"): "enumerate_000_exponential",
     ("100", "dp"): "enumerate_100",
     ("110", "dp"): "enumerate_110",
@@ -732,7 +733,7 @@ ENGINES = {
 # 000 and 110 grow x1.6 per term, raw 120 x1.27, marked 110 x1.37-1.40 from
 # 347 MB at n=38 and 647 MB at n=40). Canonical 120 would reach about 89,
 # but stays at 60 until its conjectured map (`_canonical_120`) is checked
-# deeper than n=50.
+# past n=50, where test_canonical_120_equals_raw_sweep_through_50 stops.
 CAPS = {
     "enumerate_000_exponential": 34,
     "enumerate_110": 45,

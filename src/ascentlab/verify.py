@@ -1,16 +1,17 @@
 """Cross-check suite behind the `verify` command: desk-scale consistency
 checks between the enumerators, the brute-force oracles (forward sweeps
 over avoiding prefixes, `sequences.brute_force_avoiders`), closed forms, and
-the structural lemmas. Each engine of `dp.ENGINES` runs once, through
-`dp.enumerate_avoiders`, and every check that needs its series reads a
-prefix of that one run. Three engines transform set states, and each is
-checked against the raw sweep of its pattern: the polynomial 000 engine (S
-reduced to its size), the marked 110 engine (new values guessed to repeat
-or erased) and the canonical 120 engine (the gaps of S sorted, a merge
-that rests on a conjecture). The ascent series is checked against the
-Fishburn generating function. The weak reverse-complement involution is
-checked on the weak ascent sequences of each length up to 7 as one array,
-with containment read at every index triple
+the structural lemmas. Each distinct engine of `dp.ENGINES` is run, through
+`dp.enumerate_avoiders`, and checked once, under its first key (000's
+layered engine as "dp", not again as "dp-poly"); every check that needs its
+series reads a prefix of that one run. Three engines transform set states,
+and each is checked against the raw sweep of its pattern: the polynomial
+000 engine (S reduced to its size), the marked 110 engine (new values
+guessed to repeat or erased) and the canonical 120 engine (the gaps of S
+sorted, a merge that rests on a conjecture). The ascent series is checked
+against the Fishburn generating function. The weak reverse-complement
+involution is checked on the weak ascent sequences of each length up to 7
+as one array, with containment read at every index triple
 (`sequences.contains_pattern_rows`)."""
 
 from __future__ import annotations
@@ -50,14 +51,14 @@ def run_checks(max_n=10) -> list:
     def check(name, ok, detail=""):
         results.append(CheckResult(name, bool(ok), detail))
 
-    # each engine runs once, at 12 terms or more (factorial-lower-bounds
-    # reads 12), and every check reads a prefix of that run
+    # each engine runs once, under its first key, at 12 terms or more
+    # (factorial-lower-bounds reads 12); every check reads a prefix of it
     n_pe = min(max_n + 6, 20)
-    by_name = {}
-    for (pat, algo), name in dp.ENGINES.items():
-        if name not in by_name:
-            by_name[name] = dp.enumerate_avoiders(pat, max(n_pe, 12), algorithm=algo).values
-    run = {key: by_name[name] for key, name in dp.ENGINES.items()}
+    first_key = {}
+    for key, name in dp.ENGINES.items():
+        first_key.setdefault(name, key)
+    run = {(pat, algo): dp.enumerate_avoiders(pat, max(n_pe, 12), algorithm=algo).values
+           for pat, algo in first_key.values()}
 
     asc = run["none", "dp"][:6]
     check("golden-ascent-series", asc == [1, 2, 5, 15, 53, 217], f"got {asc}")
@@ -89,7 +90,7 @@ def run_checks(max_n=10) -> list:
         check(f"closed-form-{pat}", got == want)
 
     check("poly-equals-exponential-000",
-          run["000", "dp-poly"][:n_pe] == run["000", "dp-exp"][:n_pe], f"n={n_pe}")
+          run["000", "dp"][:n_pe] == run["000", "dp-exp"][:n_pe], f"n={n_pe}")
     # the sorted-gap map of the canonical 120 engine is a conjecture
     # (dp._canonical_120), so its series is checked against the raw sweep
     check("canonical-equals-raw-120",

@@ -12,19 +12,21 @@ from ascentlab import dp
 from ascentlab.errors import InsufficientTermsError
 from ascentlab.series import CoefficientSeries, RealSeries
 
+import synthetic as sy
+
 mpmath.mp.dps = 60
 
-STRETCHED = an.StretchedFitParams(mu=7.2958969, sigma=0.375, log_mu1=-9.675,
+STRETCHED = sy.StretchedFitParams(mu=7.2958969, sigma=0.375, log_mu1=-9.675,
                                   g=2, C=3700)
 
 
 def test_param_validation():
     with pytest.raises(ValueError):
-        an.StretchedFitParams(mu=-1, sigma=0.5, log_mu1=0, g=0)
+        sy.StretchedFitParams(mu=-1, sigma=0.5, log_mu1=0, g=0)
     with pytest.raises(ValueError):
-        an.StretchedFitParams(mu=1, sigma=1.5, log_mu1=0, g=0)
+        sy.StretchedFitParams(mu=1, sigma=1.5, log_mu1=0, g=0)
     with pytest.raises(ValueError):
-        an.FactorialFitParams(alpha=0, mu=1)
+        sy.FactorialFitParams(alpha=0, mu=1)
 
 
 def test_ratios_golden_and_exact():
@@ -101,7 +103,7 @@ def test_index_discipline():
     l2 = an.quadratic_intercepts(l)
     assert l2.first_index == 4
     # every transform of consecutive terms starts one index after its input
-    s = an.synth_series(STRETCHED, 12, dps=60)
+    s = sy.synth_series(STRETCHED, 12, dps=60)
     for first in (0, 2):
         c2 = RealSeries(s.values, first, 60)
         r2 = an.ratios(c2)
@@ -124,7 +126,7 @@ def test_index_discipline():
 
 
 def test_sigma_estimators_on_synthetic():
-    s = an.synth_series(STRETCHED, 200, dps=60)
+    s = sy.synth_series(STRETCHED, 200, dps=60)
     r = an.ratios(s)
     t1 = an.sigma_estimator_ratio(r)
     t2 = an.sigma_estimator_root(s)
@@ -143,8 +145,8 @@ def test_sigma_estimators_on_synthetic():
 def test_sigma_estimator_pure_power_gradient():
     # mu1 = 1: the stretched term is absent and r_n/r_{n-1} - 1 = O(1/n^2),
     # so the log-log gradient tends to -2
-    p = an.StretchedFitParams(mu=2, sigma=0.5, log_mu1=0, g=3, C=1)
-    s = an.synth_series(p, 120, dps=60)
+    p = sy.StretchedFitParams(mu=2, sigma=0.5, log_mu1=0, g=3, C=1)
+    s = sy.synth_series(p, 120, dps=60)
     t = an.sigma_estimator_ratio(an.ratios(s))
     assert abs(t.gradients[-1] + 2) < mpf("0.05")
 
@@ -157,7 +159,7 @@ def test_sigma_estimator_skips_domain_failures():
 
 
 def test_sigma_known_mu():
-    s = an.synth_series(STRETCHED, 200, dps=60)
+    s = sy.synth_series(STRETCHED, 200, dps=60)
     r = an.ratios(s)
     sg = an.sigma_local_gradient_known_mu(r, STRETCHED.mu)
     e = an.extrapolate_intercept(sg, power=0.375, depth=6)
@@ -175,7 +177,7 @@ def test_sigma_known_mu():
 
 
 def test_mu1_estimator():
-    s = an.synth_series(STRETCHED, 300, dps=60)
+    s = sy.synth_series(STRETCHED, 300, dps=60)
     r = an.ratios(s)
     m1 = an.mu1_estimator(r, STRETCHED.mu, STRETCHED.sigma)
     target = mpf("0.375") * mpf("-9.675")
@@ -185,8 +187,8 @@ def test_mu1_estimator():
     # exactly sqrt(n)/(n-1) (10/99 at n = 100, the g * n^(-sigma) bias that the
     # mu1_estimator docstring states). Its limit, not the raw value at
     # n = 100, is what tends to zero.
-    p = an.StretchedFitParams(mu=3, sigma=0.5, log_mu1=0, g=1, C=2)
-    s0 = an.synth_series(p, 100, dps=60)
+    p = sy.StretchedFitParams(mu=3, sigma=0.5, log_mu1=0, g=1, C=2)
+    s0 = sy.synth_series(p, 100, dps=60)
     m0 = an.mu1_estimator(an.ratios(s0), 3, 0.5)
     assert all(abs(m0.at(n) - mpmath.sqrt(n) / (n - 1)) < mpf(10) ** -40
                for n in m0.indices())
@@ -195,20 +197,20 @@ def test_mu1_estimator():
 
 
 def test_g_estimator():
-    s = an.synth_series(STRETCHED, 300, dps=60)
+    s = sy.synth_series(STRETCHED, 300, dps=60)
     tr = an.g_estimator(s, STRETCHED.mu, STRETCHED.sigma)
     assert abs(tr.gradients[-1] + 2) < mpf("0.1")
-    p0 = an.StretchedFitParams(mu=2, sigma=0.375, log_mu1=-1, g=0, C=1)
-    tr0 = an.g_estimator(an.synth_series(p0, 300, dps=60), 2, 0.375)
+    p0 = sy.StretchedFitParams(mu=2, sigma=0.375, log_mu1=-1, g=0, C=1)
+    tr0 = an.g_estimator(sy.synth_series(p0, 300, dps=60), 2, 0.375)
     assert abs(tr0.gradients[-1]) < mpf("0.1")
 
 
 def test_g_estimator_exact_on_model():
     # on c_n = mu^n n^g, log d_n = g log n, so the trace is
     # g ((n-1)^sigma log n - n^sigma log(n-1)) n^(1-sigma) / sigma exactly
-    p = an.StretchedFitParams(mu=STRETCHED.mu, sigma=STRETCHED.sigma, log_mu1=0,
+    p = sy.StretchedFitParams(mu=STRETCHED.mu, sigma=STRETCHED.sigma, log_mu1=0,
                               g=STRETCHED.g, C=1)
-    tr = an.g_estimator(an.synth_series(p, 120, dps=60), p.mu, p.sigma)
+    tr = an.g_estimator(sy.synth_series(p, 120, dps=60), p.mu, p.sigma)
     assert tr.ns == list(range(2, 121)) and tr.dps == 60
     g, s = mpf(p.g), mpf(p.sigma)
     for n, y in zip(tr.ns, tr.y):
@@ -218,11 +220,11 @@ def test_g_estimator_exact_on_model():
 
 
 def test_mu1_refined_exact_on_model():
-    s = an.synth_series(STRETCHED, 120, dps=60)
+    s = sy.synth_series(STRETCHED, 120, dps=60)
     m = an.mu1_refined(s, STRETCHED.mu, STRETCHED.sigma, STRETCHED.g)
     assert all(abs(v - mpf("-9.675")) < mpf(10) ** -40 for v in m.values)
-    p = an.StretchedFitParams(mu=2, sigma=0.5, log_mu1=0, g=1, C=1)
-    m0 = an.mu1_refined(an.synth_series(p, 60, dps=60), 2, 0.5, 1)
+    p = sy.StretchedFitParams(mu=2, sigma=0.5, log_mu1=0, g=1, C=1)
+    m0 = an.mu1_refined(sy.synth_series(p, 60, dps=60), 2, 0.5, 1)
     assert all(abs(v) < mpf(10) ** -40 for v in m0.values)
 
 
@@ -240,7 +242,7 @@ def test_fit_ratio4():
 
 
 def test_fit_ratio4_recovers_mu_on_synthetic():
-    s = an.synth_series(STRETCHED, 300, dps=60)
+    s = sy.synth_series(STRETCHED, 300, dps=60)
     r = an.ratios(s)
     w = an.fit_ratio4(r, STRETCHED.sigma, 297)
     assert abs(w.coefficients[0] - mpf("7.2958969")) / mpf("7.2958969") < mpf("0.001")
@@ -256,8 +258,8 @@ def test_fit_stirling_log():
 
 
 def test_factorial_transforms_and_alpha():
-    fp = an.FactorialFitParams(alpha=0.75, mu=0.68, g=0, C=1)
-    s = an.synth_series(fp, 300, dps=60)
+    fp = sy.FactorialFitParams(alpha=0.75, mu=0.68, g=0, C=1)
+    s = sy.synth_series(fp, 300, dps=60)
     tr = an.factorial_ratio_transforms(s)
     n, alpha = tr.alpha_estimates[-1]
     assert n == 300 and abs(alpha - mpf("0.75")) < mpf("0.01")
@@ -326,7 +328,7 @@ def test_precision_monotonicity():
     assert r30.dps == 30 and r60.dps == 60
     # derived series inherit the minimum input precision
     assert an.linear_intercepts(r30).dps == 30
-    s = an.synth_series(STRETCHED, 12, dps=40)
+    s = sy.synth_series(STRETCHED, 12, dps=40)
     r = an.ratios(s)
     assert r.dps == 40
     assert an.quadratic_intercepts(r).dps == 40
@@ -348,7 +350,7 @@ def test_precision_monotonicity():
 
 def test_synth_requires_enough_terms():
     with pytest.raises(ValueError):
-        an.synth_series(STRETCHED, 3)
+        sy.synth_series(STRETCHED, 3)
 
 
 SHORT = CoefficientSeries([1, 2, 5])
@@ -377,7 +379,7 @@ R10 = an.ratios(CoefficientSeries([2 ** n * n for n in range(1, 11)]))
     (lambda: an.fit_stirling_log(CoefficientSeries([1, 2, 5, 15, 53]), 3), ValueError,
      "window m=3 outside series range"),
     (lambda: an.factorial_ratio_transforms(SHORT), InsufficientTermsError, "four terms"),
-    (lambda: an.synth_series({"mu": 2}, 10), TypeError, "params must be"),
+    (lambda: sy.synth_series({"mu": 2}, 10), TypeError, "params must be"),
     (lambda: an.neville_extrapolate([1, 2], [mpf(1)]), ValueError,
      "equal nonzero numbers"),
     (lambda: an.extrapolate_intercept([], name="l2"), InsufficientTermsError,

@@ -467,7 +467,7 @@ def test_cli_verify_top_of_range(capsys):
     assert run_cli("verify", "--max-n", str(top)) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.endswith("28/28 checks passed\n")
+    assert out.endswith("27/27 checks passed\n")
 
 
 def test_verify_runs_each_engine_once(monkeypatch):
@@ -480,6 +480,15 @@ def test_verify_runs_each_engine_once(monkeypatch):
         monkeypatch.setattr(dp, name, counted)
     assert all(r.ok for r in ver.run_checks(6))
     assert calls == Counter(names)
+
+
+def test_verify_checks_each_engine_once():
+    # one oracle check per distinct engine, not one per ENGINES key: the
+    # layered 000 engine under ("000", "dp") only, not again as "dp-poly"
+    names = {name for (pat, _), name in dp.ENGINES.items() if pat != "none"}
+    oracle = [r.name for r in ver.run_checks(6) if r.name.startswith("oracle-equivalence-")]
+    assert len(oracle) == len(names) == 7
+    assert "oracle-equivalence-000-dp" in oracle
 
 
 def test_verify_involution_check_fails_for_broken_maps(monkeypatch):

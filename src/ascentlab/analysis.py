@@ -7,7 +7,9 @@ rounded denominator, so a last bit can differ from the correct rounding.
 The quotient transforms (ratios, EGF ratios, Hadamard quotients) share one
 quotient loop, the transforms of consecutive terms one pairwise loop, every
 local gradient comes from one helper, and the 4x4 window fits share one
-solve. Estimators that assume a growth model take the model parameters
+sweep: it builds each index's row once, slices the windows from those
+rows, and solves each with a list LU that reproduces mpmath's, bit for
+bit. Estimators that assume a growth model take the model parameters
 explicitly; nothing is inferred silently.
 """
 
@@ -266,59 +268,127 @@ def mu1_refined(c, mu, sigma, g, dps=None) -> RealSeries:
     return _pairwise(logf, lambda n, a, b: (a - b) / (mpf(n) ** s - mpf(n - 1) ** s))
 
 
+def _solve_lu(rows, rhs):
+    """x with rows * x = rhs, by the arithmetic of mpmath 1.3.0's LU solve
+    (`LU_decomp`, `L_solve`, `U_solve`) operation for operation, so each
+    entry of x has the same `_mpf_`.
+
+    It works on lists because indexing mpmath's matrix class took half the
+    time of a window fit. As there, it runs with 10 guard bits, pivots on the
+    first largest |A[k][j]| / sum|A[k][j:]|, and raises ZeroDivisionError on
+    a pivot or row sum at most |mnorm(A, 1) * eps|. It also raises one on a
+    column that is zero from the pivot down, where mpmath fails with a
+    TypeError."""
+    n = len(rows)
+    with mpmath.workprec(mpmath.mp.prec + 10):
+        A, b = [list(row) for row in rows], list(rhs)
+        tol = abs(max(mpmath.fsum((row[j] for row in A), absolute=1)
+                      for j in range(n)) * mpmath.eps)
+        pivots = []
+        for j in range(n - 1):
+            biggest, p = 0, None
+            for k in range(j, n):
+                s = mpmath.fsum([abs(a) for a in A[k][j:]])
+                if abs(s) <= tol:
+                    raise ZeroDivisionError("matrix is numerically singular")
+                current = 1 / s * abs(A[k][j])
+                if current > biggest:
+                    biggest, p = current, k
+            if p is None or abs(A[p][j]) <= tol:
+                raise ZeroDivisionError("matrix is numerically singular")
+            pivots.append(p)
+            A[j], A[p] = A[p], A[j]
+            top = A[j]
+            for row in A[j + 1:]:
+                row[j] /= top[j]
+                for k in range(j + 1, n):
+                    row[k] -= row[j] * top[k]
+        if abs(A[-1][-1]) <= tol:
+            raise ZeroDivisionError("matrix is numerically singular")
+        for j, p in enumerate(pivots):
+            b[j], b[p] = b[p], b[j]
+        for i in range(1, n):
+            for j in range(i):
+                b[i] -= A[i][j] * b[j]
+        for i in reversed(range(n)):
+            for j in range(i + 1, n):
+                b[i] -= A[i][j] * b[j]
+            b[i] /= A[i][i]
+    return b
+
+
 def _solve_window(rows, rhs, k, name) -> LinearFitWindow:
-    """Solve rows * x = rhs for the window name=k, at the caller's precision."""
-    A = mpmath.matrix(rows)
-    b = mpmath.matrix(rhs)
+    """Solve rows * x = rhs for the window name=k, at the caller's precision.
+    The residual is the largest |row . x - rhs|, with -rhs rounded first as
+    in mpmath's `A * x - b`."""
     try:
-        sol = mpmath.lu_solve(A, b)
+        sol = _solve_lu(rows, rhs)
     except ZeroDivisionError as exc:
         raise ValueError(f"singular fit system at window {name}={k}") from exc
-    resid = max(abs(x) for x in (A * sol - b))
-    return LinearFitWindow(k=k, coefficients=list(sol), residual=resid)
+    resid = max(abs(mpmath.fdot(row, sol) + -b) for row, b in zip(rows, rhs))
+    return LinearFitWindow(k=k, coefficients=sol, residual=resid)
+
+
+def _window_fits(row_of, ks, lo, hi, name, span, dps):
+    """The 4x4 fits centred at each k in ks, on the rows of k-2..k+1, which
+    must lie in lo..hi; row_of(n) -> (row, rhs) runs once per index."""
+    built, fits = {}, []
+    with mpmath.workdps(dps):
+        for k in ks:
+            if k - 2 < lo or k + 1 > hi:
+                raise ValueError(f"window {name}={k} outside {span} range")
+            for n in range(k - 2, k + 2):
+                if n not in built:
+                    built[n] = row_of(n)
+            rows, rhs = zip(*(built[n] for n in range(k - 2, k + 2)))
+            fits.append(_solve_window(rows, rhs, k, name))
+    return fits
 
 
 def fit_ratio4(r: RealSeries, sigma, k) -> LinearFitWindow:
     """Solve r_n = c1 + c2/n^(1-sigma) + c3/n + c4/n^(2-2sigma) on the window
     n = k-2..k+1. c1 estimates mu, c2 -> mu*sigma*log(mu1), c3 -> mu*g
     (requires sigma != 1/2), c4 -> mu*sigma^2*log^2(mu1)/2."""
-    if k - 2 < r.first_index or k + 1 > r.last_index:
-        raise ValueError(f"window k={k} outside ratio series range")
-    with mpmath.workdps(r.dps):
-        s = to_mpf(sigma, r.dps)
-        rows, rhs = [], []
-        for n in range(k - 2, k + 2):
-            nn = mpf(n)
-            rows.append([mpf(1), nn ** (s - 1), 1 / nn, nn ** (2 * s - 2)])
-            rhs.append(r.at(n))
-        return _solve_window(rows, rhs, k, "k")
+    return fit_ratio4_sweep(r, sigma, [k])[0]
 
 
 def fit_ratio4_sweep(r: RealSeries, sigma, ks=None):
+    """`fit_ratio4` at each window centre in ks (default: every window in
+    range), building each index's row once."""
     if ks is None:
         ks = range(r.first_index + 2, r.last_index)
-    return [fit_ratio4(r, sigma, k) for k in ks]
+    with mpmath.workdps(r.dps):
+        s = to_mpf(sigma, r.dps)
+        p1, p2 = s - 1, 2 * s - 2
+
+    def row(n):
+        nn = mpf(n)
+        return [mpf(1), nn ** p1, 1 / nn, nn ** p2], r.at(n)
+
+    return _window_fits(row, ks, r.first_index, r.last_index, "k", "ratio series",
+                        r.dps)
+
+
+def _stirling_fits(c, ms, dps):
+    d = working_dps(c, dps=dps)
+
+    def row(k):
+        lk = mpmath.log(k)
+        return [k * lk, mpf(k), lk, mpf(1)], _log_term(k, to_mpf(c.at(k), d))
+
+    return _window_fits(row, ms, c.first_index + 1, c.last_index, "m", "series", d)
 
 
 def fit_stirling_log(c, m, dps=None) -> LinearFitWindow:
     """Solve log c_k = e1*k*log k + e2*k + e3*log k + e4 on k = m-2..m+1.
     For (alpha*n)!-type growth e1 estimates alpha and e2 estimates
     log mu + alpha log alpha - alpha."""
-    d = working_dps(c, dps=dps)
-    if m - 2 < c.first_index + 1 or m + 1 > c.last_index:
-        raise ValueError(f"window m={m} outside series range")
-    with mpmath.workdps(d):
-        rows, rhs = [], []
-        for k in range(m - 2, m + 2):
-            lk = mpmath.log(k)
-            rows.append([k * lk, mpf(k), lk, mpf(1)])
-            rhs.append(_log_term(k, to_mpf(c.at(k), d)))
-        return _solve_window(rows, rhs, m, "m")
+    return _stirling_fits(c, [m], dps)[0]
 
 
 def fit_stirling_log_sweep(c, dps=None):
-    return [fit_stirling_log(c, m, dps=dps)
-            for m in range(c.first_index + 3, c.last_index)]
+    """`fit_stirling_log` at every window in range, computing each log once."""
+    return _stirling_fits(c, range(c.first_index + 3, c.last_index), dps)
 
 
 @dataclass

@@ -5,6 +5,7 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 from ascentlab import analysis as an
@@ -257,6 +258,125 @@ def test_fit_stirling_log():
         assert abs(got - want) < mpf(10) ** -25
 
 
+def _reference_solve_window(rows, rhs, k, name):
+    """The window solve through mpmath's matrix class and `lu_solve`, as it
+    was before the list LU: the reference `an._solve_window` reproduces."""
+    A = mpmath.matrix(rows)
+    b = mpmath.matrix(rhs)
+    try:
+        sol = mpmath.lu_solve(A, b)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"singular fit system at window {name}={k}") from exc
+    resid = max(abs(x) for x in (A * sol - b))
+    return an.LinearFitWindow(k=k, coefficients=list(sol), residual=resid)
+
+
+def _ratio_rows(sigma, k):
+    """fit_ratio4's rows for the window k, at the caller's precision."""
+    s = mpf(sigma)
+    return [[mpf(1), mpf(n) ** (s - 1), 1 / mpf(n), mpf(n) ** (2 * s - 2)]
+            for n in range(k - 2, k + 2)]
+
+
+def _stirling_rows(m):
+    """fit_stirling_log's rows for the window m, at the caller's precision."""
+    return [[k * mpmath.log(k), mpf(k), mpmath.log(k), mpf(1)]
+            for k in range(m - 2, m + 2)]
+
+
+def _bits(w):
+    return w.k, [x._mpf_ for x in w.coefficients], w.residual._mpf_
+
+
+def _outcome(solve, rows, rhs):
+    try:
+        return _bits(solve(rows, rhs, 7, "k"))
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def fit_windows(draw):
+    """(dps, rows, rhs): ratio rows at sigma in (0, 1), near-singular ratio
+    rows at sigma = 1/2 +- 10^-e, Stirling rows, or small-integer rows (whose
+    pivot candidates often tie), with right-hand sides spread over up to 50
+    decimal orders."""
+    dps = draw(st.integers(30, 100))
+    shape = draw(st.sampled_from(["ratio", "near-singular", "stirling", "integer"]))
+    spread = draw(st.integers(0, 50))
+    terms = draw(st.lists(st.tuples(st.integers(-10 ** dps, 10 ** dps),
+                                    st.integers(0, spread)), min_size=4, max_size=4))
+    with mpmath.workdps(dps):
+        if shape == "ratio":
+            rows = _ratio_rows(draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
+                               draw(st.integers(4, 2000)))
+        elif shape == "near-singular":
+            tiny = mpf(10) ** -draw(st.integers(1, dps + 10))
+            rows = _ratio_rows(mpf(1) / 2 + draw(st.sampled_from([-1, 1])) * tiny,
+                               draw(st.integers(4, 2000)))
+        elif shape == "stirling":
+            rows = _stirling_rows(draw(st.integers(3, 5000)))
+        else:
+            rows = [[mpf(draw(st.integers(-3, 3))) for _ in range(4)] for _ in range(4)]
+        rhs = [mpf(m) / 10 ** dps * mpf(10) ** e for m, e in terms]
+    return dps, rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_windows())
+def test_window_solve_matches_mpmath_lu_solve(window):
+    """Every coefficient and the residual keep their `_mpf_`; a singular
+    window raises the same ValueError on both paths."""
+    dps, rows, rhs = window
+    with mpmath.workdps(dps):
+        want = _outcome(_reference_solve_window, rows, rhs)
+        if want[0] is TypeError:  # mpmath trips on a column zero from the pivot down
+            want = (ValueError, "singular fit system at window k=7")
+        assert _outcome(an._solve_window, rows, rhs) == want
+
+
+@pytest.mark.parametrize("dps,sign", [(30, 1), (30, -1), (60, 1), (60, -1), (100, 1)])
+def test_near_singular_window_raises_on_both_paths(dps, sign):
+    """sigma one ulp or so from 1/2, where columns 3 and 4 agree to the
+    working precision."""
+    with mpmath.workdps(dps):
+        rows = _ratio_rows(mpf(1) / 2 + sign * mpf(10) ** -(dps + 1), 50)
+        rhs = [mpf(n) for n in range(1, 5)]
+        want = (ValueError, "singular fit system at window k=7")
+        assert _outcome(_reference_solve_window, rows, rhs) == want
+        assert _outcome(an._solve_window, rows, rhs) == want
+
+
+def test_sweeps_equal_their_single_windows(monkeypatch):
+    """Each sweep window equals its single-window call and the matrix
+    solve of the rows built as in the single-window fits, bit for bit."""
+    sigma = STRETCHED.sigma
+    r = an.ratios(sy.synth_series(STRETCHED, 40, dps=60))
+    for ks in (None, range(10, 20)):
+        fits = an.fit_ratio4_sweep(r, sigma, ks)
+        assert [w.k for w in fits] == list(ks or range(4, 40))
+        with mpmath.workdps(r.dps):
+            for w in fits:
+                rows = _ratio_rows(mpf(sigma), w.k)
+                rhs = [r.at(n) for n in range(w.k - 2, w.k + 2)]
+                assert _bits(w) == _bits(an.fit_ratio4(r, sigma, w.k)) \
+                    == _bits(_reference_solve_window(rows, rhs, w.k, "k"))
+    c = CoefficientSeries([math.factorial(2 * k) * 3 ** k for k in range(1, 40)])
+    for sub in (c, CoefficientSeries(c.values[10:25], 11)):
+        fits = an.fit_stirling_log_sweep(sub)
+        assert [w.k for w in fits] == list(range(sub.first_index + 3, sub.last_index))
+        with mpmath.workdps(60):
+            for w in fits:
+                rhs = [mpmath.log(mpf(c.at(k))) for k in range(w.k - 2, w.k + 2)]
+                assert _bits(w) == _bits(an.fit_stirling_log(c, w.k)) \
+                    == _bits(_reference_solve_window(_stirling_rows(w.k), rhs, w.k, "m"))
+    calls = []
+    log = mpmath.log
+    monkeypatch.setattr(mpmath, "log", lambda x: calls.append(x) or log(x))
+    an.fit_stirling_log_sweep(c)
+    assert len(calls) == 2 * (len(c) - 1)  # log k and log c_k for k = 2..39
+
+
 def test_factorial_transforms_and_alpha():
     fp = sy.FactorialFitParams(alpha=0.75, mu=0.68, g=0, C=1)
     s = sy.synth_series(fp, 300, dps=60)
@@ -376,6 +496,9 @@ R10 = an.ratios(CoefficientSeries([2 ** n * n for n in range(1, 11)]))
      "mu must be positive"),
     # at sigma = 1/2 the columns n^(2*sigma-2) and 1/n coincide
     (lambda: an.fit_ratio4(R10, 0.5, 6), ValueError, "singular fit system at window k=6"),
+    # at sigma = 0 the column n^(sigma-1) is 1/n, at sigma = 1 the column of ones
+    (lambda: an.fit_ratio4(R10, 0, 6), ValueError, "singular fit system at window k=6"),
+    (lambda: an.fit_ratio4(R10, 1, 6), ValueError, "singular fit system at window k=6"),
     (lambda: an.fit_stirling_log(CoefficientSeries([1, 2, 5, 15, 53]), 3), ValueError,
      "window m=3 outside series range"),
     (lambda: an.factorial_ratio_transforms(SHORT), InsufficientTermsError, "four terms"),
@@ -386,7 +509,8 @@ R10 = an.ratios(CoefficientSeries([2 ** n * n for n in range(1, 11)]))
      "empty trace l2"),
 ], ids=["log-of-zero", "ratios", "egf-ratios", "quadratic-intercepts",
         "sigma-ratio", "sigma-root", "sigma-known-mu", "mu1-estimator", "g-estimator",
-        "mu1-refined", "singular-window", "stirling-window", "factorial-transforms",
+        "mu1-refined", "singular-window", "singular-window-sigma0",
+        "singular-window-sigma1", "stirling-window", "factorial-transforms",
         "synth-params", "neville-lengths", "empty-trace"])
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=message):

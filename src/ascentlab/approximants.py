@@ -13,6 +13,18 @@ Gauss-Jordan elimination over fractions. Matching the first N coefficients
 to 1 to fix the scale. The coefficients are those of the series with its
 length-0 term `series.LENGTH_ZERO_COUNT` prepended as z^0.
 
+An ensemble fits twins together: two configs of one order M and one
+inhomogeneous degree L whose degrees differ by one in exactly one Q_k. Under
+the constant pin, the smaller twin's system is the larger one's without its
+last equation and without the column of q_{k,N_k}; with that column moved to
+the end it is the larger system's leading block, so one forward elimination
+serves both. The shared result is taken only when the leading block is
+eliminated on its own rows and both systems are nonsingular. Each system
+then has exactly one solution, whatever the column order or pivots, so both
+fits are the Fractions that fitting each config alone gives, with deficiency
+0 and the constant pin. Any other twin, and any config without one, is
+fitted alone.
+
 The recurrence that extends the series runs on the integer numerators of Q_k
 and P over their common denominator, so each predicted term costs one
 division, exact or at the working precision; root finding runs at the
@@ -21,6 +33,7 @@ working precision.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -118,12 +131,35 @@ def _full_coefficients(c: CoefficientSeries):
     return [LENGTH_ZERO_COUNT] + list(c.values)
 
 
-def _solve_rational(rows, rhs):
+def _back_substitute(m, pivots, prev, width):
+    """Fraction-free back substitution on the pivot rows m[:len(pivots)],
+    whose last entry is the right-hand side; `prev` is the last pivot and
+    free unknowns among the `width` are zero.
+
+    `prev` is, up to sign, the determinant of the pivot block, so by
+    Cramer's rule each X_c = prev * x_c is an integer and
+
+        X_c = (prev * b_r - sum_{c' > c} U[r][c'] * X_c') / U[r][c]
+
+    divides exactly; x_c is the reduced Fraction(X_c, prev).
+    """
+    scaled = [0] * width
+    for r in reversed(range(len(pivots))):
+        row = m[r]
+        acc = prev * row[-1] - sum(row[c] * scaled[c] for c in pivots[r + 1:])
+        scaled[pivots[r]] = acc // row[pivots[r]]
+    return [Fraction(v, prev) for v in scaled]
+
+
+def _solve_rational(rows, rhs, block=0):
     """Solve an integer system exactly by forward Bareiss elimination and
     fraction-free back substitution.
 
-    Returns (solution, deficiency); free unknowns are set to zero. Raises on
-    inconsistency.
+    Returns (solution, deficiency, lead); free unknowns are set to zero.
+    Raises on inconsistency. `lead` is the solution of the leading
+    block x block system (the first `block` rows and columns, the same
+    right-hand side; 0 < block <= min(rows, columns)) when that block was
+    eliminated on its own, and None otherwise or when `block` is 0.
 
     Elimination runs forward only: each pivot is the first nonzero entry of
     its column at or below the pivot row, and only the rows below it are
@@ -132,30 +168,34 @@ def _solve_rational(rows, rhs):
     bordered by the entry's row and column, so each division by the previous
     pivot is exact (Sylvester's identity).
 
-    Back substitution reads the pivot rows U. The last pivot `prev` is, up to
-    sign, the determinant of the pivot block, so by Cramer's rule each
-    X_c = prev * x_c is an integer and
-
-        X_c = (prev * b_r - sum_{c' > c} U[r][c'] * X_c') / U[r][c]
-
-    divides exactly; x_c is the reduced Fraction(X_c, prev).
-
     The result is that of Gauss-Jordan over fractions with the same pivot
     choice: below each pivot, Gauss-Jordan holds these minors divided by the
     previous pivot, so the same entries are zero. The pivots, the deficiency
     and the inconsistency test therefore agree, and both solutions are the
     unique solution of the pivot block with free unknowns zero.
+
+    The leading block is eliminated on its own when each of its columns
+    takes its pivot from its own rows: no row below the block is swapped up.
+    Rows below the pivot row never change the rows above them, so the
+    block's rows then hold what eliminating the block alone would leave,
+    and it is nonsingular with its last pivot at [block-1][block-1]. When
+    some column has no nonzero entry in the block's remaining rows, the
+    block alone would leave that column without a pivot: it is singular,
+    and `lead` is None.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     m = [list(r) + [v] for r, v in zip(rows, rhs)]
     pivots = []
     prev = 1
+    own = block > 0
     for pc in range(ncols):
         pr = len(pivots)
         if pr == nrows:
             break
         pivot = next((r for r in range(pr, nrows) if m[r][pc] != 0), None)
+        if pc < block and (pivot is None or pivot >= block):
+            own = False
         if pivot is None:
             continue
         m[pr], m[pivot] = m[pivot], m[pr]
@@ -177,12 +217,52 @@ def _solve_rational(rows, rhs):
     if any(m[r][ncols] != 0 for r in range(rank, nrows)):
         raise RankDeficientError("inconsistent fitting system",
                                  deficiency=ncols - rank)
-    scaled = [0] * ncols          # X_c = prev * x_c; free unknowns stay 0
-    for r in reversed(range(rank)):
-        row = m[r]
-        acc = prev * row[ncols] - sum(row[c] * scaled[c] for c in pivots[r + 1:])
-        scaled[pivots[r]] = acc // row[pivots[r]]
-    return [Fraction(v, prev) for v in scaled], ncols - rank
+    lead = (_back_substitute(m, pivots[:block], m[block - 1][block - 1], block)
+            if own else None)
+    return _back_substitute(m, pivots, prev, ncols), ncols - rank, lead
+
+
+def _offsets(cfg):
+    """Where Q_0..Q_M and P start in the unknowns q_{0,0..N_0}, ...,
+    q_{M,0..N_M}, p_0..p_L; the last entry is the number of unknowns."""
+    return list(itertools.accumulate([d + 1 for d in cfg.degrees] +
+                                     [cfg.inhomog_degree + 1], initial=0))
+
+
+def _fitting_rows(coeffs, cfg):
+    """The N matching equations, one row of integer multipliers over all
+    unknowns each."""
+    offsets = _offsets(cfg)
+    p_off = offsets[cfg.order + 1]
+    rows = []
+    for m in range(cfg.matched_terms):
+        row = [0] * offsets[-1]
+        for k, d in enumerate(cfg.degrees):
+            for j in range(min(d, m) + 1):
+                row[offsets[k] + j] = (m - j) ** k * coeffs[m - j]
+        if m <= cfg.inhomog_degree:
+            row[p_off + m] = -1
+        rows.append(row)
+    return rows
+
+
+def _pinned_solve(rows, pin, cols, block=0):
+    """`_solve_rational` with unknown `pin` set to 1, its column moved to the
+    right-hand side, and the other columns taken in the order `cols`."""
+    return _solve_rational([[r[j] for j in cols] for r in rows],
+                           [-r[pin] for r in rows], block)
+
+
+def _approximant(cfg, cols, sol, deficiency, pinned):
+    """The approximant whose unknowns at `cols` are `sol`; the pinned unknown,
+    the one `cols` leaves out, is 1."""
+    offsets = _offsets(cfg)
+    full = [Fraction(1)] * offsets[-1]
+    for j, v in zip(cols, sol):
+        full[j] = v
+    qs = [full[offsets[k]: offsets[k + 1]] for k in range(cfg.order + 1)]
+    return DifferentialApproximant(qs=qs, p=full[offsets[-2]:], config=cfg,
+                                   deficiency=deficiency, pinned=pinned)
 
 
 def fit_da(c: CoefficientSeries, cfg: DAConfig) -> DifferentialApproximant:
@@ -198,44 +278,52 @@ def fit_da(c: CoefficientSeries, cfg: DAConfig) -> DifferentialApproximant:
     if len(coeffs) < n_eq + 1:
         raise InsufficientTermsError(
             f"need {n_eq + 1} coefficients including the constant, have {len(coeffs)}")
+    rows = _fitting_rows(coeffs, cfg)
+    offsets = _offsets(cfg)
     M = cfg.order
-    L = cfg.inhomog_degree
-    # unknown layout: q_{0,0..N_0}, ..., q_{M,0..N_M}, p_0..p_L
-    offsets = []
-    pos = 0
-    for d in cfg.degrees:
-        offsets.append(pos)
-        pos += d + 1
-    p_off = pos
-    n_unknown = pos + (L + 1)
-    rows = []
-    for m in range(n_eq):
-        row = [0] * n_unknown
-        for k in range(M + 1):
-            for j in range(min(cfg.degrees[k], m) + 1):
-                row[offsets[k] + j] = (m - j) ** k * coeffs[m - j]
-        if m <= L:
-            row[p_off + m] = -1
-        rows.append(row)
-
-    pin_const = offsets[M]
-    pin_high = offsets[M] + cfg.degrees[M]
-    for pin_index, pin_name in ((pin_const, "q_M_constant"),
-                                (pin_high, "q_M_leading")):
+    pin_const, pin_high = offsets[M], offsets[M + 1] - 1
+    for pin, pinned in ((pin_const, "q_M_constant"), (pin_high, "q_M_leading")):
+        cols = [j for j in range(offsets[-1]) if j != pin]
         try:
-            # the pinned unknown is 1: its column moves to the right-hand side
-            sol, deficiency = _solve_rational(
-                [r[:pin_index] + r[pin_index + 1:] for r in rows],
-                [-r[pin_index] for r in rows])
+            sol, deficiency, _ = _pinned_solve(rows, pin, cols)
         except RankDeficientError:
-            if pin_index == pin_high:
+            if pin == pin_high:
                 raise
             continue
-        full = sol[:pin_index] + [Fraction(1)] + sol[pin_index:]
-        qs = [full[offsets[k]: offsets[k] + cfg.degrees[k] + 1] for k in range(M + 1)]
-        p = full[p_off:]
-        return DifferentialApproximant(qs=qs, p=p, config=cfg,
-                                       deficiency=deficiency, pinned=pin_name)
+        return _approximant(cfg, cols, sol, deficiency, pinned)
+
+
+def _lowered(big, small):
+    """k when `small` is `big` with the degree of Q_k one lower, else None."""
+    if (big.order, big.inhomog_degree) != (small.order, small.inhomog_degree):
+        return None
+    gaps = [a - b for a, b in zip(big.degrees, small.degrees)]
+    if sorted(gaps) != [0] * (len(gaps) - 1) + [1]:
+        return None
+    return gaps.index(1)
+
+
+def _fit_twins(coeffs, big, small, k):
+    """(fit of `big`, fit of `small`) from one elimination, where `small` is
+    `big` with Q_k one degree lower; None unless both are the unique fits
+    under the constant pin, with the smaller system eliminated on its own
+    rows (see the module docstring)."""
+    if len(coeffs) < big.matched_terms + 1:
+        return None
+    offsets = _offsets(big)
+    pin = offsets[big.order]
+    drop = offsets[k + 1] - 1     # q_{k,N_k}, which `small` lacks
+    rest = [j for j in range(offsets[-1]) if j not in (pin, drop)]
+    try:
+        sol, deficiency, lead = _pinned_solve(_fitting_rows(coeffs, big), pin,
+                                              rest + [drop], block=len(rest))
+    except RankDeficientError:
+        return None
+    if deficiency or lead is None:
+        return None
+    small_cols = [j - (j > drop) for j in rest]
+    return (_approximant(big, rest + [drop], sol, 0, "q_M_constant"),
+            _approximant(small, small_cols, lead, 0, "q_M_constant"))
 
 
 def fit_defects(da: DifferentialApproximant, c: CoefficientSeries) -> list:
@@ -398,12 +486,31 @@ def predict_ensemble(c: CoefficientSeries, cfgs, count,
     and the mean of the rest is reported together with the
     shared-leading-digits count and the standard deviation. MAD keeps at
     least half of the values, so only ensembles of fewer than five fits can
-    keep them all."""
+    keep them all.
+
+    Twins, configs of one order and inhomogeneous degree whose degrees
+    differ by one in exactly one Q_k, are paired off greedily in sorted
+    order, each config in one pair at most, and each pair is fitted from
+    one elimination (`_fit_twins`). A pair's shared result is
+    taken only when both systems are nonsingular and the smaller one was
+    eliminated on its own rows; each fit is then the unique solution, so
+    it equals `fit_da`'s Fractions exactly. Any other config is fitted by
+    `fit_da`, and the result is the same as fitting every config alone."""
     cfgs = sorted(cfgs, key=DAConfig.sort_key)
+    coeffs = _full_coefficients(c)
+    shared, paired = {}, set()
+    for i, j in itertools.permutations(range(len(cfgs)), 2):
+        k = _lowered(cfgs[i], cfgs[j])
+        if k is None or paired & {i, j}:
+            continue
+        paired |= {i, j}
+        both = _fit_twins(coeffs, cfgs[i], cfgs[j], k)
+        if both is not None:
+            shared[i], shared[j] = both
     fits, failures = [], []
-    for cfg in cfgs:
+    for i, cfg in enumerate(cfgs):
         try:
-            da = fit_da(c, cfg)
+            da = shared[i] if i in shared else fit_da(c, cfg)
             ext = recurrence_extend(da, c, count, dps=dps)
             fits.append((cfg, ext.values))
         except (RankDeficientError, InsufficientTermsError,

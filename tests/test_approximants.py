@@ -4,12 +4,13 @@ extension, ensemble aggregation."""
 import dataclasses
 import math
 import random
+import statistics
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
 from ascentlab import approximants as ap
@@ -26,6 +27,11 @@ REF_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
 
 def catalan_series(n):
     return CoefficientSeries([math.comb(2 * k, k) // (k + 1) for k in range(1, n + 1)])
+
+
+def _noise(n):
+    rng = random.Random(42)
+    return CoefficientSeries([rng.randrange(1, 10 ** 6) for _ in range(n)])
 
 
 def test_config_validation():
@@ -86,8 +92,7 @@ def test_insufficient_terms():
 
 
 def test_random_noise_fit_is_handled():
-    rng = random.Random(42)
-    noise = CoefficientSeries([rng.randrange(1, 10 ** 6) for _ in range(25)])
+    noise = _noise(25)
     try:
         da = ap.fit_da(noise, ap.DAConfig(order=2, degrees=(3, 3, 3), inhomog_degree=0))
     except RankDeficientError:
@@ -125,15 +130,16 @@ def _fraction_gauss_jordan(rows, rhs):
 
 def _outcome(solve, rows, rhs):
     try:
-        return solve(rows, rhs)
+        return solve(rows, rhs)[:2]
     except RankDeficientError as exc:
         return "inconsistent", exc.deficiency
 
 
 @st.composite
-def integer_systems(draw):
-    """A = B*C of rank <= r with a few entries overwritten, b = A*x, and b
-    sometimes perturbed so that the system may be inconsistent."""
+def integer_systems(draw, consistent=False):
+    """A = B*C of rank <= r with a few entries overwritten, b = A*x, and,
+    unless `consistent`, b sometimes perturbed so that the system may be
+    inconsistent."""
     small = st.integers(-4, 4)
     nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     rank = draw(st.integers(0, min(nrows, ncols)))
@@ -150,7 +156,8 @@ def integer_systems(draw):
     x = draw(st.lists(st.integers(-5, 5), min_size=ncols, max_size=ncols))
     rhs = [sum(a * v for a, v in zip(r, x)) for r in rows]
     for i, d in draw(st.lists(st.tuples(st.integers(0, nrows - 1),
-                                        st.integers(-3, 3)), max_size=1)):
+                                        st.integers(-3, 3)),
+                              max_size=0 if consistent else 1)):
         rhs[i] += d
     return rows, rhs
 
@@ -163,6 +170,29 @@ def test_integer_solve_matches_fraction_reference(system):
     assert got == _outcome(_fraction_gauss_jordan, rows, rhs)
     if got[0] != "inconsistent":
         assert all(isinstance(v, Fraction) for v in got[0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_systems(consistent=True), st.integers(1, 6))
+# column 0 of the block is zero and row 2 below it is not: row 2 is swapped
+# up, and the block is singular although the whole system is not
+@example(([[0, 1, 0], [0, 2, 1], [1, 0, 0]], [1, 2, 3]), 2)
+# column 1 is zero below the first pivot in every row: no pivot at all
+@example(([[1, 2, 0], [2, 4, 0], [0, 0, 1]], [1, 2, 3]), 2)
+def test_leading_block_solution_matches_fraction_reference(system, block):
+    # the leading block's solution is declined exactly when the block is
+    # singular, which covers a row below the block being swapped up (the
+    # block alone would have no pivot in that column); otherwise it is the
+    # block's own Gauss-Jordan solution, and the whole system's result is
+    # unchanged
+    rows, rhs = system
+    block = min(block, len(rows), len(rows[0]))
+    sol, deficiency, lead = ap._solve_rational(rows, rhs, block)
+    assert (sol, deficiency) == _fraction_gauss_jordan(rows, rhs)
+    alone = _outcome(_fraction_gauss_jordan, [r[:block] for r in rows[:block]],
+                     rhs[:block])
+    assert lead == (alone[0] if alone[1] == 0 else None)
+    assert ap._solve_rational(rows, rhs)[2] is None
 
 
 def _big(rng, bits):
@@ -401,6 +431,105 @@ def test_small_ensemble_keeps_every_fit():
         for n, v, digits in zip(range(31, 41), pred.values, pred.agreed_digits):
             true = exact.at(n)
             assert abs(v - true) <= mpf(10) ** (len(str(true)) - digits), n
+
+
+def _predict_one_by_one(c, cfgs, count, dps):
+    """Reference ensemble: `predict_ensemble` as it reads with each config
+    fitted alone by `fit_da`."""
+    cfgs = sorted(cfgs, key=ap.DAConfig.sort_key)
+    fits, failures = [], []
+    for cfg in cfgs:
+        try:
+            da = ap.fit_da(c, cfg)
+            fits.append((cfg, ap.recurrence_extend(da, c, count, dps=dps).values))
+        except (RankDeficientError, InsufficientTermsError,
+                VanishingMultiplierError) as exc:
+            failures.append((cfg, str(exc)))
+    means, digits, spreads, excluded = [], [], [], []
+    with mpmath.workdps(dps):
+        for i in range(count):
+            vals = [(cfg, v[i]) for cfg, v in fits]
+            med = statistics.median(v for _, v in vals)
+            mad = statistics.median(abs(v - med) for _, v in vals)
+            off = [abs(v - med) > ap.MAD_MULTIPLIER * mad if mad > 0 else v != med
+                   for _, v in vals]
+            if len(vals) - sum(off) < 3:
+                off = [False] * len(vals)
+            kept = [v for (_, v), o in zip(vals, off) if not o]
+            excluded += [(c.last_index + 1 + i, cfg, v)
+                         for (cfg, v), o in zip(vals, off) if o]
+            mean = sum(kept) / len(kept)
+            means.append(mean)
+            spreads.append(mpmath.sqrt(sum((v - mean) ** 2 for v in kept) / len(kept)))
+            digits.append(ap._common_digits(min(kept), max(kept), max(dps - 5, 1)))
+    return ap.PredictionResult(first_index=c.last_index + 1, values=means,
+                               agreed_digits=digits, spreads=spreads,
+                               excluded=excluded,
+                               configs_used=[cfg for cfg, _ in fits],
+                               failures=failures)
+
+
+def _ref_prefix(name):
+    """The reference series cut at the CLI's term budget, 44."""
+    ref = aio.read_bfile(REF_DIR / f"{name}.b").exact
+    return ref.truncate(min(ref.last_index, 44))
+
+
+def _ref_case(name):
+    ref = _ref_prefix(name)
+    return ref, ap.default_ensemble(ref.last_index)
+
+
+def _shapes(*shapes):
+    """Each degree vector at L = -1, 0 and 1, as `extend --order/--degrees`
+    fits its shape and the shape with Q_0 or Q_M one degree lower."""
+    return [ap.DAConfig(order=len(d) - 1, degrees=d, inhomog_degree=L)
+            for d in shapes for L in (-1, 0, 1)]
+
+
+_A = ap.DAConfig(order=1, degrees=(5, 5), inhomog_degree=0)
+_NOT_ENOUGH = [ap.DAConfig(order=1, degrees=(12, 12), inhomog_degree=0),
+               ap.DAConfig(order=1, degrees=(11, 12), inhomog_degree=0)]
+
+
+# (series, configs, twins fitted together, twins fitted alone)
+@pytest.mark.parametrize("case", [
+    *[(lambda n=n: _ref_case(n), 9, 0) for n in ("ascent", "000", "100", "110", "120")],
+    (lambda: (_ref_prefix("120").truncate(30),
+              _shapes((6, 6, 6), (5, 6, 6), (6, 6, 5))), 3, 0),
+    (lambda: (_ref_prefix("120").truncate(30), _shapes((6, 6, 6), (6, 6, 5))), 3, 0),
+    (lambda: (catalan_series(30), ap.default_ensemble(30)), 2, 7),       # deficient
+    (lambda: (CoefficientSeries([math.factorial(n) for n in range(1, 25)]),
+              ap.default_ensemble(14)), 1, 8),                          # pin-high
+    (lambda: (CoefficientSeries([2 ** n for n in range(1, 25)]),
+              ap.default_ensemble(20)), 0, 9),                          # deficient
+    # only the larger twin is deficient: its leading block is nonsingular
+    (lambda: (CoefficientSeries([2 ** n for n in range(1, 25)]),
+              [ap.DAConfig(order=1, degrees=(2, 2)), ap.DAConfig(order=1, degrees=(1, 2)),
+               ap.DAConfig(order=1, degrees=(1, 1), inhomog_degree=0)]),
+     0, 1),
+    (lambda: (_noise(25), ap.default_ensemble(24) + _NOT_ENOUGH), 9, 1),  # too few terms
+    (lambda: (_noise(25), [_A, _A, dataclasses.replace(_A, degrees=(4, 5)), _A]), 1, 0),
+], ids=["ascent", "000", "100", "110", "120", "120-order-degrees",
+        "120-q-m-lowered", "catalan", "factorial", "geometric",
+        "geometric-larger-deficient", "noise", "repeated-config"])
+def test_ensemble_equals_fitting_each_config_alone(case, monkeypatch):
+    # pairing twins changes no figure: every field of the result is that of
+    # fitting each config alone, whether a pair's elimination is shared or
+    # declined
+    make, together, alone = case
+    c, cfgs = make()
+    outcomes = []
+    fit_twins = ap._fit_twins
+
+    def recording(*args):
+        both = fit_twins(*args)
+        outcomes.append(both is not None)
+        return both
+    monkeypatch.setattr(ap, "_fit_twins", recording)
+    want = _predict_one_by_one(c, cfgs, 8, 40)
+    assert ap.predict_ensemble(c, cfgs, 8, dps=40) == want
+    assert (outcomes.count(True), outcomes.count(False)) == (together, alone)
 
 
 def test_all_fits_failed():

@@ -18,12 +18,12 @@ inhomogeneous degree L whose degrees differ by one in exactly one Q_k. Under
 the constant pin, the smaller twin's system is the larger one's without its
 last equation and without the column of q_{k,N_k}; with that column moved to
 the end it is the larger system's leading block, so one forward elimination
-serves both. The shared result is taken only when the leading block is
-eliminated on its own rows and both systems are nonsingular. Each system
-then has exactly one solution, whatever the column order or pivots, so both
-fits are the Fractions that fitting each config alone gives, with deficiency
-0 and the constant pin. Any other twin, and any config without one, is
-fitted alone.
+serves both. The twin invariant: the shared result is taken only when the
+leading block is eliminated on its own rows and both systems are
+nonsingular. Each system then has exactly one solution, whatever the column
+order or pivots, so both fits are the Fractions that fitting each config
+alone gives, with deficiency 0 and the constant pin. Any other twin, and
+any config without one, is fitted alone.
 
 The recurrence that extends the series runs on the integer numerators of Q_k
 and P over their common denominator, so each predicted term costs one
@@ -159,7 +159,8 @@ def _solve_rational(rows, rhs, block=0):
     Raises on inconsistency. `lead` is the solution of the leading
     block x block system (the first `block` rows and columns, the same
     right-hand side; 0 < block <= min(rows, columns)) when that block was
-    eliminated on its own, and None otherwise or when `block` is 0.
+    eliminated on its own, and None otherwise or when `block` is 0; `_fit`
+    reads it as the smaller twin's solution (see the module docstring).
 
     Elimination runs forward only: each pivot is the first nonzero entry of
     its column at or below the pivot row, and only the rows below it are
@@ -246,13 +247,6 @@ def _fitting_rows(coeffs, cfg):
     return rows
 
 
-def _pinned_solve(rows, pin, cols, block=0):
-    """`_solve_rational` with unknown `pin` set to 1, its column moved to the
-    right-hand side, and the other columns taken in the order `cols`."""
-    return _solve_rational([[r[j] for j in cols] for r in rows],
-                           [-r[pin] for r in rows], block)
-
-
 def _approximant(cfg, cols, sol, deficiency, pinned):
     """The approximant whose unknowns at `cols` are `sol`; the pinned unknown,
     the one `cols` leaves out, is 1."""
@@ -265,6 +259,38 @@ def _approximant(cfg, cols, sol, deficiency, pinned):
                                    deficiency=deficiency, pinned=pinned)
 
 
+def _fit(coeffs, cfg, pinned="q_M_constant", twin=None):
+    """(fit of `cfg`, fit of `twin` or None) from one `_solve_rational`, with
+    the `pinned` coefficient of Q_M, its constant or its leading one, set to
+    1 and its column moved to the right-hand side.
+
+    `twin` is (small, k), where `small` is `cfg` with Q_k one degree lower,
+    under the constant pin only: the column of q_{k,N_k} is put last, and
+    the small fit is built when the twin invariant of the module docstring
+    holds. Raises when there are too few coefficients or the system is
+    inconsistent."""
+    n_eq = cfg.matched_terms
+    if len(coeffs) < n_eq + 1:
+        raise InsufficientTermsError(
+            f"need {n_eq + 1} coefficients including the constant, have {len(coeffs)}")
+    offsets = _offsets(cfg)
+    pin = offsets[cfg.order] if pinned == "q_M_constant" else offsets[cfg.order + 1] - 1
+    cols = [j for j in range(offsets[-1]) if j != pin]
+    if twin is not None:
+        drop = offsets[twin[1] + 1] - 1     # q_{k,N_k}, which `small` lacks
+        cols.remove(drop)
+        cols.append(drop)
+    rows = _fitting_rows(coeffs, cfg)
+    sol, deficiency, lead = _solve_rational([[r[j] for j in cols] for r in rows],
+                                            [-r[pin] for r in rows],
+                                            len(cols) - 1 if twin is not None else 0)
+    fit = _approximant(cfg, cols, sol, deficiency, pinned)
+    if deficiency or lead is None:
+        return fit, None
+    return fit, _approximant(twin[0], [j - (j > drop) for j in cols[:-1]], lead,
+                             0, pinned)
+
+
 def fit_da(c: CoefficientSeries, cfg: DAConfig) -> DifferentialApproximant:
     """Fit the ODE by exact fraction-free integer elimination.
 
@@ -274,23 +300,10 @@ def fit_da(c: CoefficientSeries, cfg: DAConfig) -> DifferentialApproximant:
     (the deficiency is recorded); only inconsistency raises.
     """
     coeffs = _full_coefficients(c)
-    n_eq = cfg.matched_terms
-    if len(coeffs) < n_eq + 1:
-        raise InsufficientTermsError(
-            f"need {n_eq + 1} coefficients including the constant, have {len(coeffs)}")
-    rows = _fitting_rows(coeffs, cfg)
-    offsets = _offsets(cfg)
-    M = cfg.order
-    pin_const, pin_high = offsets[M], offsets[M + 1] - 1
-    for pin, pinned in ((pin_const, "q_M_constant"), (pin_high, "q_M_leading")):
-        cols = [j for j in range(offsets[-1]) if j != pin]
-        try:
-            sol, deficiency, _ = _pinned_solve(rows, pin, cols)
-        except RankDeficientError:
-            if pin == pin_high:
-                raise
-            continue
-        return _approximant(cfg, cols, sol, deficiency, pinned)
+    try:
+        return _fit(coeffs, cfg)[0]
+    except RankDeficientError:
+        return _fit(coeffs, cfg, "q_M_leading")[0]
 
 
 def _lowered(big, small):
@@ -304,38 +317,22 @@ def _lowered(big, small):
 
 
 def _fit_twins(coeffs, big, small, k):
-    """(fit of `big`, fit of `small`) from one elimination, where `small` is
-    `big` with Q_k one degree lower; None unless both are the unique fits
-    under the constant pin, with the smaller system eliminated on its own
-    rows (see the module docstring)."""
-    if len(coeffs) < big.matched_terms + 1:
-        return None
-    offsets = _offsets(big)
-    pin = offsets[big.order]
-    drop = offsets[k + 1] - 1     # q_{k,N_k}, which `small` lacks
-    rest = [j for j in range(offsets[-1]) if j not in (pin, drop)]
+    """(fit of `big`, fit of `small`) from one `_fit`, where `small` is `big`
+    with Q_k one degree lower; None unless both fits are shared under the
+    twin invariant of the module docstring."""
     try:
-        sol, deficiency, lead = _pinned_solve(_fitting_rows(coeffs, big), pin,
-                                              rest + [drop], block=len(rest))
-    except RankDeficientError:
+        both = _fit(coeffs, big, twin=(small, k))
+    except (InsufficientTermsError, RankDeficientError):
         return None
-    if deficiency or lead is None:
-        return None
-    small_cols = [j - (j > drop) for j in rest]
-    return (_approximant(big, rest + [drop], sol, 0, "q_M_constant"),
-            _approximant(small, small_cols, lead, 0, "q_M_constant"))
+    return both if both[1] is not None else None
 
 
 def fit_defects(da: DifferentialApproximant, c: CoefficientSeries) -> list:
-    """Exact defects of the matching equations on the first N coefficients;
-    all zero for a faithful fit."""
-    coeffs = _full_coefficients(c)
-    den, qs, p = _integer_recurrence(da)
-    out = []
-    for m in range(da.config.matched_terms):
-        total = sum(t * coeffs[m - j] for j, t in enumerate(_recurrence_row(qs, m)))
-        out.append(Fraction(total - (p[m] if m < len(p) else 0), den))
-    return out
+    """Exact defects of the fit's own matching equations, the rows of
+    `_fitting_rows` times its unknowns; all zero for a faithful fit."""
+    unknowns = [v for q in da.qs for v in q] + da.p
+    return [sum(a * x for a, x in zip(row, unknowns))
+            for row in _fitting_rows(_full_coefficients(c), da.config)]
 
 
 def _extend_values(da, coeffs, count, exact, dps):
@@ -488,14 +485,11 @@ def predict_ensemble(c: CoefficientSeries, cfgs, count,
     least half of the values, so only ensembles of fewer than five fits can
     keep them all.
 
-    Twins, configs of one order and inhomogeneous degree whose degrees
-    differ by one in exactly one Q_k, are paired off greedily in sorted
-    order, each config in one pair at most, and each pair is fitted from
-    one elimination (`_fit_twins`). A pair's shared result is
-    taken only when both systems are nonsingular and the smaller one was
-    eliminated on its own rows; each fit is then the unique solution, so
-    it equals `fit_da`'s Fractions exactly. Any other config is fitted by
-    `fit_da`, and the result is the same as fitting every config alone."""
+    Twins are paired off greedily in sorted order, each config in one pair
+    at most, and each pair is fitted from one elimination (`_fit_twins`)
+    under the twin invariant of the module docstring. Any other config is
+    fitted by `fit_da`, and the result is the same as fitting every config
+    alone."""
     cfgs = sorted(cfgs, key=DAConfig.sort_key)
     coeffs = _full_coefficients(c)
     shared, paired = {}, set()

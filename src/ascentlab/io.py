@@ -27,18 +27,22 @@ def format_real_sci(value, digits):
     return mpmath.nstr(value, digits)
 
 
+def _write_exact(fh, series: CoefficientSeries):
+    """The exact-term lines "n value" of a b-file."""
+    for n in series.indices():
+        fh.write(f"{n} {series.at(n)}\n")
+
+
 def write_bfile(path, series: CoefficientSeries):
     with open(path, "w") as fh:
-        for n in series.indices():
-            fh.write(f"{n} {series.at(n)}\n")
+        _write_exact(fh, series)
 
 
 def write_extended_bfile(path, series: CoefficientSeries, prediction):
     """Exact terms followed by predicted terms marked with "~" and their
     agreed-digit counts."""
     with open(path, "w") as fh:
-        for n in series.indices():
-            fh.write(f"{n} {series.at(n)}\n")
+        _write_exact(fh, series)
         n = prediction.first_index
         for value, digits in zip(prediction.values, prediction.agreed_digits):
             shown = max(int(digits), 1)

@@ -263,6 +263,40 @@ def test_fit_defects_detect_a_wrong_fit():
                                           for m in range(n_eq)]
 
 
+def _recurrence_defects(da, c):
+    """The defects of the z^m equations for m < N as the extension's integer
+    recurrence reads them: A(m)*c_m + sum_j T_j(m)*c_{m-j} - P_m over the
+    common denominator."""
+    coeffs = [1] + c.values
+    den, qs, p = ap._integer_recurrence(da)
+    return [Fraction(sum(t * coeffs[m - j] for j, t in enumerate(ap._recurrence_row(qs, m)))
+                     - (p[m] if m < len(p) else 0), den)
+            for m in range(da.config.matched_terms)]
+
+
+def _shifted_fits(da):
+    """`da` with each p_k, and then q_{0,3}, moved by 1/7, as in
+    `test_fit_defects_detect_a_wrong_fit`."""
+    delta = Fraction(1, 7)
+    for k in range(len(da.p)):
+        yield dataclasses.replace(da, p=[v + delta * (j == k) for j, v in enumerate(da.p)])
+    q0 = [v + delta * (j == 3) for j, v in enumerate(da.qs[0])]
+    yield dataclasses.replace(da, qs=[q0] + da.qs[1:])
+
+
+def test_fit_defects_equal_the_extension_recurrence():
+    # fit_defects reads the fitting rows and the extension reads the integer
+    # recurrence: both are the z^m matching equation, so they must agree on
+    # every matched term, for faithful fits and for wrong ones
+    ref, da = _fit_000_inhomogeneous()
+    cases = [(ref, fit) for fit in [da, *_shifted_fits(da)]]
+    for name in ("ascent", "000", "100", "110", "120"):
+        c, cfgs = _ref_case(name)
+        cases.append((c, ap.fit_da(c, cfgs[-1])))
+    for c, fit in cases:
+        assert ap.fit_defects(fit, c) == _recurrence_defects(fit, c), fit.config
+
+
 def test_real_extension_matches_exact():
     # the two paths share the integer recurrence and differ only in the
     # final division of each term

@@ -345,16 +345,12 @@ def _window_fits(row_of, ks, lo, hi, name, span, dps):
     return fits
 
 
-def fit_ratio4(r: RealSeries, sigma, k) -> LinearFitWindow:
-    """Solve r_n = c1 + c2/n^(1-sigma) + c3/n + c4/n^(2-2sigma) on the window
-    n = k-2..k+1. c1 estimates mu, c2 -> mu*sigma*log(mu1), c3 -> mu*g
-    (requires sigma != 1/2), c4 -> mu*sigma^2*log^2(mu1)/2."""
-    return fit_ratio4_sweep(r, sigma, [k])[0]
-
-
 def fit_ratio4_sweep(r: RealSeries, sigma, ks=None):
-    """`fit_ratio4` at each window centre in ks (default: every window in
-    range), building each index's row once."""
+    """Solve r_n = c1 + c2/n^(1-sigma) + c3/n + c4/n^(2-2sigma) on the window
+    n = k-2..k+1, for each window centre k in ks (default: every window in
+    range), building each index's row once. c1 estimates mu,
+    c2 -> mu*sigma*log(mu1), c3 -> mu*g (requires sigma != 1/2),
+    c4 -> mu*sigma^2*log^2(mu1)/2."""
     if ks is None:
         ks = range(r.first_index + 2, r.last_index)
     with mpmath.workdps(r.dps):
@@ -369,7 +365,13 @@ def fit_ratio4_sweep(r: RealSeries, sigma, ks=None):
                         r.dps)
 
 
-def _stirling_fits(c, ms, dps):
+def fit_stirling_log_sweep(c, ms=None, dps=None):
+    """Solve log c_k = e1*k*log k + e2*k + e3*log k + e4 on k = m-2..m+1, for
+    each window centre m in ms (default: every window in range), computing
+    each log once. For (alpha*n)!-type growth e1 estimates alpha and e2
+    estimates log mu + alpha log alpha - alpha."""
+    if ms is None:
+        ms = range(c.first_index + 3, c.last_index)
     d = working_dps(c, dps=dps)
 
     def row(k):
@@ -377,18 +379,6 @@ def _stirling_fits(c, ms, dps):
         return [k * lk, mpf(k), lk, mpf(1)], _log_term(k, to_mpf(c.at(k), d))
 
     return _window_fits(row, ms, c.first_index + 1, c.last_index, "m", "series", d)
-
-
-def fit_stirling_log(c, m, dps=None) -> LinearFitWindow:
-    """Solve log c_k = e1*k*log k + e2*k + e3*log k + e4 on k = m-2..m+1.
-    For (alpha*n)!-type growth e1 estimates alpha and e2 estimates
-    log mu + alpha log alpha - alpha."""
-    return _stirling_fits(c, [m], dps)[0]
-
-
-def fit_stirling_log_sweep(c, dps=None):
-    """`fit_stirling_log` at every window in range, computing each log once."""
-    return _stirling_fits(c, range(c.first_index + 3, c.last_index), dps)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from .errors import (AllFitsFailedError, CapExceededError,
                      InsufficientTermsError)
 from .series import DEFAULT_DPS
 
-MODELS = ("power", "stretched", "factorial", "factorial-egf")
+MODELS = ("power", "stretched", "factorial-egf")
 # The stretched model's sigma when --sigma is not given.
 STRETCHED_SIGMA = 0.375
 
@@ -260,6 +260,7 @@ def build_parser():
     # forward sweep over avoiding prefixes (sequences.brute_force_avoiders)
     patterns = list(dict.fromkeys(pattern for pattern, _ in dp.ENGINES))
     algos = ["brute", *dict.fromkeys(algo for _, algo in dp.ENGINES)]
+    precision_help = f"working precision in decimal digits, at least 30; default {DEFAULT_DPS}"
     p = argparse.ArgumentParser(prog="ascentlab",
                                 description="Pattern-avoiding ascent sequence workbench")
     sub = p.add_subparsers(dest="command", required=True)
@@ -280,12 +281,14 @@ def build_parser():
     pa = sub.add_parser("analyze", help="write estimator-trace CSV from a b-file")
     pa.add_argument("--input", required=True)
     pa.add_argument("--output", required=True)
-    pa.add_argument("--model", required=True)
+    pa.add_argument("--model", required=True, help="one of " + ", ".join(MODELS))
     pa.add_argument("--sigma", type=float,
                     help=f"stretched model only; default {STRETCHED_SIGMA}")
-    pa.add_argument("--mu", type=float)
-    pa.add_argument("--g", type=float)
-    pa.add_argument("--precision", type=int, default=DEFAULT_DPS)
+    pa.add_argument("--mu", type=float, help="stretched model only: the known growth "
+                    "constant, which adds the known-mu estimators and the ratio fit")
+    pa.add_argument("--g", type=float, help="stretched model only, needs --mu: the "
+                    "known power-law exponent, which adds the refined mu1 estimate")
+    pa.add_argument("--precision", type=int, default=DEFAULT_DPS, help=precision_help)
     pa.set_defaults(func=cmd_analyze)
 
     px = sub.add_parser("extend", help="extend a series by ensemble prediction")
@@ -297,7 +300,7 @@ def build_parser():
                     "one degree lower, each at inhomogeneous degrees -1, 0 "
                     "and 1, instead of the default ensemble")
     px.add_argument("--degrees", help="degrees of Q_0..Q_M, comma-separated")
-    px.add_argument("--precision", type=int, default=DEFAULT_DPS)
+    px.add_argument("--precision", type=int, default=DEFAULT_DPS, help=precision_help)
     px.set_defaults(func=cmd_extend)
 
     pv = sub.add_parser("verify", help="run the cross-check suite")

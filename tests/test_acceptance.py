@@ -255,7 +255,7 @@ def test_criterion_8_synthetic_estimator_recovery():
     p = sy.StretchedFitParams(mu=7.2958969, sigma=0.375, log_mu1=-9.675, g=2, C=3700)
     s = sy.synth_series(p, 300, dps=60)
     r = an.ratios(s)
-    w = an.fit_ratio4(r, p.sigma, 297)
+    w = an.fit_ratio4_sweep(r, p.sigma, [297])[0]
     mu_rel = abs(w.coefficients[0] - mpf("7.2958969")) / mpf("7.2958969")
     ok = mu_rel < mpf("0.001")
     tr = an.g_estimator(s, p.mu, p.sigma)
@@ -268,7 +268,7 @@ def test_criterion_8_synthetic_estimator_recovery():
     tr2 = an.factorial_ratio_transforms(fs)
     alpha = tr2.alpha_estimates[-1][1]
     ok &= abs(alpha - mpf("0.75")) < mpf("0.01")
-    w2 = an.fit_stirling_log(fs, 298)
+    w2 = an.fit_stirling_log_sweep(fs, [298])[0]
     ok &= abs(w2.coefficients[0] - mpf("0.75")) < mpf("0.01")
     _report(8, ok, f"stretched: mu rel err {mpmath.nstr(mu_rel, 2)} < 0.1%, "
                    f"g={mpmath.nstr(g_est, 4)}=2±0.1, log mu1 within 1%; "

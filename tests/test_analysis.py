@@ -234,18 +234,18 @@ def test_fit_ratio4():
     c = [mpf("7.295"), mpf("-26.5"), mpf("-20"), mpf("5")]
     r = RealSeries([c[0] + c[1] * mpf(n) ** (sig - 1) + c[2] / n
                     + c[3] * mpf(n) ** (2 * sig - 2) for n in range(2, 60)], 2, 60)
-    w = an.fit_ratio4(r, 0.375, 30)
+    w = an.fit_ratio4_sweep(r, 0.375, [30])[0]
     for got, want in zip(w.coefficients, c):
         assert abs(got - want) < mpf(10) ** -35
     assert w.residual < mpf(10) ** -40
     with pytest.raises(ValueError):
-        an.fit_ratio4(r, 0.375, 1)
+        an.fit_ratio4_sweep(r, 0.375, [1])
 
 
 def test_fit_ratio4_recovers_mu_on_synthetic():
     s = sy.synth_series(STRETCHED, 300, dps=60)
     r = an.ratios(s)
-    w = an.fit_ratio4(r, STRETCHED.sigma, 297)
+    w = an.fit_ratio4_sweep(r, STRETCHED.sigma, [297])[0]
     assert abs(w.coefficients[0] - mpf("7.2958969")) / mpf("7.2958969") < mpf("0.001")
 
 
@@ -253,7 +253,7 @@ def test_fit_stirling_log():
     logs = [mpf("0.75") * k * mpmath.log(k) - mpf("1.35") * k
             + 2 * mpmath.log(k) + 1 for k in range(1, 40)]
     c = RealSeries([mpmath.e ** v for v in logs], 1, 60)
-    w = an.fit_stirling_log(c, 20)
+    w = an.fit_stirling_log_sweep(c, [20])[0]
     for got, want in zip(w.coefficients, [mpf("0.75"), mpf("-1.35"), mpf(2), mpf(1)]):
         assert abs(got - want) < mpf(10) ** -25
 
@@ -272,14 +272,14 @@ def _reference_solve_window(rows, rhs, k, name):
 
 
 def _ratio_rows(sigma, k):
-    """fit_ratio4's rows for the window k, at the caller's precision."""
+    """fit_ratio4_sweep's rows for the window k, at the caller's precision."""
     s = mpf(sigma)
     return [[mpf(1), mpf(n) ** (s - 1), 1 / mpf(n), mpf(n) ** (2 * s - 2)]
             for n in range(k - 2, k + 2)]
 
 
 def _stirling_rows(m):
-    """fit_stirling_log's rows for the window m, at the caller's precision."""
+    """fit_stirling_log_sweep's rows for the window m, at the caller's precision."""
     return [[k * mpmath.log(k), mpf(k), mpmath.log(k), mpf(1)]
             for k in range(m - 2, m + 2)]
 
@@ -348,8 +348,8 @@ def test_near_singular_window_raises_on_both_paths(dps, sign):
 
 
 def test_sweeps_equal_their_single_windows(monkeypatch):
-    """Each sweep window equals its single-window call and the matrix
-    solve of the rows built as in the single-window fits, bit for bit."""
+    """Each sweep window equals the sweep of that window alone and the
+    matrix solve of the rows built as in the fits, bit for bit."""
     sigma = STRETCHED.sigma
     r = an.ratios(sy.synth_series(STRETCHED, 40, dps=60))
     for ks in (None, range(10, 20)):
@@ -359,7 +359,7 @@ def test_sweeps_equal_their_single_windows(monkeypatch):
             for w in fits:
                 rows = _ratio_rows(mpf(sigma), w.k)
                 rhs = [r.at(n) for n in range(w.k - 2, w.k + 2)]
-                assert _bits(w) == _bits(an.fit_ratio4(r, sigma, w.k)) \
+                assert _bits(w) == _bits(an.fit_ratio4_sweep(r, sigma, [w.k])[0]) \
                     == _bits(_reference_solve_window(rows, rhs, w.k, "k"))
     c = CoefficientSeries([math.factorial(2 * k) * 3 ** k for k in range(1, 40)])
     for sub in (c, CoefficientSeries(c.values[10:25], 11)):
@@ -368,7 +368,7 @@ def test_sweeps_equal_their_single_windows(monkeypatch):
         with mpmath.workdps(60):
             for w in fits:
                 rhs = [mpmath.log(mpf(c.at(k))) for k in range(w.k - 2, w.k + 2)]
-                assert _bits(w) == _bits(an.fit_stirling_log(c, w.k)) \
+                assert _bits(w) == _bits(an.fit_stirling_log_sweep(c, [w.k])[0]) \
                     == _bits(_reference_solve_window(_stirling_rows(w.k), rhs, w.k, "m"))
     calls = []
     log = mpmath.log
@@ -383,7 +383,7 @@ def test_factorial_transforms_and_alpha():
     tr = an.factorial_ratio_transforms(s)
     n, alpha = tr.alpha_estimates[-1]
     assert n == 300 and abs(alpha - mpf("0.75")) < mpf("0.01")
-    w = an.fit_stirling_log(s, 298)
+    w = an.fit_stirling_log_sweep(s, [298])[0]
     assert abs(w.coefficients[0] - mpf("0.75")) < mpf("0.01")
     assert abs(w.coefficients[1] - (mpmath.log(mpf("0.68"))
                + mpf("0.75") * mpmath.log(mpf("0.75")) - mpf("0.75"))) < mpf("0.05")
@@ -495,12 +495,12 @@ R10 = an.ratios(CoefficientSeries([2 ** n * n for n in range(1, 11)]))
     (lambda: an.mu1_refined(CoefficientSeries([1, 2, 5, 15]), 0, 0.5, 1), ValueError,
      "mu must be positive"),
     # at sigma = 1/2 the columns n^(2*sigma-2) and 1/n coincide
-    (lambda: an.fit_ratio4(R10, 0.5, 6), ValueError, "singular fit system at window k=6"),
+    (lambda: an.fit_ratio4_sweep(R10, 0.5, [6]), ValueError, "singular fit system at window k=6"),
     # at sigma = 0 the column n^(sigma-1) is 1/n, at sigma = 1 the column of ones
-    (lambda: an.fit_ratio4(R10, 0, 6), ValueError, "singular fit system at window k=6"),
-    (lambda: an.fit_ratio4(R10, 1, 6), ValueError, "singular fit system at window k=6"),
-    (lambda: an.fit_stirling_log(CoefficientSeries([1, 2, 5, 15, 53]), 3), ValueError,
-     "window m=3 outside series range"),
+    (lambda: an.fit_ratio4_sweep(R10, 0, [6]), ValueError, "singular fit system at window k=6"),
+    (lambda: an.fit_ratio4_sweep(R10, 1, [6]), ValueError, "singular fit system at window k=6"),
+    (lambda: an.fit_stirling_log_sweep(CoefficientSeries([1, 2, 5, 15, 53]), [3]),
+     ValueError, "window m=3 outside series range"),
     (lambda: an.factorial_ratio_transforms(SHORT), InsufficientTermsError, "four terms"),
     (lambda: sy.synth_series({"mu": 2}, 10), TypeError, "params must be"),
     (lambda: an.neville_extrapolate([1, 2], [mpf(1)]), ValueError,

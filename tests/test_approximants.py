@@ -526,24 +526,29 @@ _NOT_ENOUGH = [ap.DAConfig(order=1, degrees=(12, 12), inhomog_degree=0),
                ap.DAConfig(order=1, degrees=(11, 12), inhomog_degree=0)]
 
 
-# (series, configs, twins fitted together, twins fitted alone)
+# (series, configs, twins fitted together, twins fitted alone, eliminations):
+# a shared pair costs one `_solve_rational` call, where fitting its two
+# configs alone costs at least two
 @pytest.mark.parametrize("case", [
-    *[(lambda n=n: _ref_case(n), 9, 0) for n in ("ascent", "000", "100", "110", "120")],
+    *[(lambda n=n: _ref_case(n), 9, 0, 9) for n in ("ascent", "000", "100", "110", "120")],
     (lambda: (_ref_prefix("120").truncate(30),
-              _shapes((6, 6, 6), (5, 6, 6), (6, 6, 5))), 3, 0),
-    (lambda: (_ref_prefix("120").truncate(30), _shapes((6, 6, 6), (6, 6, 5))), 3, 0),
-    (lambda: (catalan_series(30), ap.default_ensemble(30)), 2, 7),       # deficient
+              _shapes((6, 6, 6), (5, 6, 6), (6, 6, 5))), 3, 0, 6),
+    (lambda: (_ref_prefix("120").truncate(30), _shapes((6, 6, 6), (6, 6, 5))), 3, 0, 3),
+    (lambda: (catalan_series(30), ap.default_ensemble(30)), 2, 7, 23),   # deficient
+    # pin-high; its 41 include 8 repeated constant-pin eliminations (a FOUND
+    # in CHANGES.md): each declined pair's larger config redoes in fit_da the
+    # elimination that _fit_twins found inconsistent
     (lambda: (CoefficientSeries([math.factorial(n) for n in range(1, 25)]),
-              ap.default_ensemble(14)), 1, 8),                          # pin-high
+              ap.default_ensemble(14)), 1, 8, 41),
     (lambda: (CoefficientSeries([2 ** n for n in range(1, 25)]),
-              ap.default_ensemble(20)), 0, 9),                          # deficient
+              ap.default_ensemble(20)), 0, 9, 27),                      # deficient
     # only the larger twin is deficient: its leading block is nonsingular
     (lambda: (CoefficientSeries([2 ** n for n in range(1, 25)]),
               [ap.DAConfig(order=1, degrees=(2, 2)), ap.DAConfig(order=1, degrees=(1, 2)),
                ap.DAConfig(order=1, degrees=(1, 1), inhomog_degree=0)]),
-     0, 1),
-    (lambda: (_noise(25), ap.default_ensemble(24) + _NOT_ENOUGH), 9, 1),  # too few terms
-    (lambda: (_noise(25), [_A, _A, dataclasses.replace(_A, degrees=(4, 5)), _A]), 1, 0),
+     0, 1, 4),
+    (lambda: (_noise(25), ap.default_ensemble(24) + _NOT_ENOUGH), 9, 1, 10),  # too few terms
+    (lambda: (_noise(25), [_A, _A, dataclasses.replace(_A, degrees=(4, 5)), _A]), 1, 0, 3),
 ], ids=["ascent", "000", "100", "110", "120", "120-order-degrees",
         "120-q-m-lowered", "catalan", "factorial", "geometric",
         "geometric-larger-deficient", "noise", "repeated-config"])
@@ -551,10 +556,10 @@ def test_ensemble_equals_fitting_each_config_alone(case, monkeypatch):
     # pairing twins changes no figure: every field of the result is that of
     # fitting each config alone, whether a pair's elimination is shared or
     # declined
-    make, together, alone = case
+    make, together, alone, eliminations = case
     c, cfgs = make()
-    outcomes = []
-    fit_twins = ap._fit_twins
+    outcomes, solves = [], []
+    fit_twins, solve = ap._fit_twins, ap._solve_rational
 
     def recording(*args):
         both = fit_twins(*args)
@@ -562,8 +567,11 @@ def test_ensemble_equals_fitting_each_config_alone(case, monkeypatch):
         return both
     monkeypatch.setattr(ap, "_fit_twins", recording)
     want = _predict_one_by_one(c, cfgs, 8, 40)
+    monkeypatch.setattr(ap, "_solve_rational",
+                        lambda *args, **kw: solves.append(1) or solve(*args, **kw))
     assert ap.predict_ensemble(c, cfgs, 8, dps=40) == want
     assert (outcomes.count(True), outcomes.count(False)) == (together, alone)
+    assert len(solves) == eliminations
 
 
 def test_all_fits_failed():

@@ -189,6 +189,16 @@ def test_cli_choices_come_from_engine_table():
     assert _choices("enumerate", "--algo") == list(dict.fromkeys(algos))
 
 
+def test_cli_analyze_help_names_every_model(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # no wrap inside a model name
+    with pytest.raises(SystemExit) as exc:
+        run_cli("analyze", "--help")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    line = next(line for line in out.splitlines() if line.lstrip().startswith("--model"))
+    assert all(model in line for model in cli.MODELS), out
+
+
 def test_cli_every_engine_matches_reference(tmp_path):
     for (pattern, algo), n in ENGINE_TERMS.items():
         ref = "ascent" if pattern == "none" else pattern
@@ -316,7 +326,7 @@ def test_cli_extend_and_reanalyze(tmp_path):
     lines = ext.read_text().splitlines()
     assert len(lines) == 30 and "~" in lines[20]
     out = tmp_path / "c110.csv"
-    assert run_cli("analyze", "--input", str(ext), "--model", "factorial",
+    assert run_cli("analyze", "--input", str(ext), "--model", "factorial-egf",
                    "--output", str(out)) == 0
 
 
@@ -386,7 +396,7 @@ def test_cli_analyze_error_prefixes(tmp_path, capsys):
         assert not out.exists()
     # every model rejects a negative term
     src.write_text("1 1\n2 -2\n3 5\n4 9\n5 20\n6 50\n")
-    for model in ("power", "stretched", "factorial", "factorial-egf"):
+    for model in cli.MODELS:
         assert run_cli("analyze", "--input", str(src), "--model", model,
                        "--output", str(out)) == 1, model
         err = capsys.readouterr().err
@@ -558,9 +568,11 @@ def test_cli_verify_series_file_past_cap(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_usage_validation(tmp_path, capsys):
-    assert run_cli("analyze", "--input", "x", "--model", "nope",
-                   "--output", "y") == 2
-    assert "error: usage:" in capsys.readouterr().err
+    # factorial-egf is the factorial model's only name
+    for model in ("nope", "factorial"):
+        assert run_cli("analyze", "--input", "x", "--model", model,
+                       "--output", "y") == 2, model
+        assert "error: usage: model must be one of" in capsys.readouterr().err, model
     assert run_cli("analyze", "--input", "x", "--model", "power",
                    "--output", "y", "--precision", "10") == 2
     assert run_cli("enumerate", "--pattern", "000", "--terms", "0",
@@ -582,7 +594,7 @@ def test_cli_usage_validation(tmp_path, capsys):
         assert run_cli(*stretched, *extra) == 2
         assert f"error: usage: {message}" in capsys.readouterr().err
     # the stretched model's parameters are rejected, not ignored, elsewhere
-    for model, extra in (("power", ("--mu", "7")), ("factorial", ("--g", "2")),
+    for model, extra in (("power", ("--mu", "7")), ("factorial-egf", ("--g", "2")),
                          ("factorial-egf", ("--sigma", "0.375"))):
         assert run_cli("analyze", "--input", "x", "--model", model,
                        "--output", "y", *extra) == 2

@@ -7,16 +7,14 @@ the first step where it might not: one word rule, stated at `_WORD_LIMIT`.
 
 Two engine styles:
 
-* Layered sweeps (ascent, 100, polynomial 000): per-length layers of state
-  slices. A step builds each new slice a from the prefix sums of old slices
-  a-1, a and a+1 in a few whole-slice operations (list comprehensions of
-  Python ints for ascent, numpy gathers for 000), so no Python loop runs
-  over a slice's entries or columns. 100 keeps per-m blocks instead, in
-  which old slices a-1 and a are adjacent columns, so a step is plain
-  slicing of each old block's row prefix sums. 000 and 100 take those sums
-  in place and drop each old slice or block once read, so a step holds
-  about one layer, and they follow the word bound (`_past_word_bound`).
-  Used where hundreds of terms are wanted.
+* Layered sweeps (ascent, 100, polynomial 000), used where hundreds of
+  terms are wanted: a step builds each array of the new layer from prefix
+  sums of the old one in a few whole-array operations, so no Python loop
+  runs over an array's entries. 000 and 100 share one step loop,
+  `_layered`, which builds their "erase a value" terms, one block per K or
+  m, by plain slicing and follows the word bound (`_past_word_bound`);
+  each engine supplies only its new-value terms. Ascent erases nothing and
+  steps lists of Python ints.
 * Set-state engines (exponential 000, 110, 120): states carry a bit-set of
   letter values. Each pattern has one transition rule from a packed state
   key (see `_pack`) and a next letter to the child's key, for a Python int
@@ -86,10 +84,9 @@ _WORD_LIMIT = 2 ** 63
 # ---------------------------------------------------------------------------
 
 def _past_word_bound(arrays, n_terms):
-    """Whether the next step of a layered 000 or 100 engine might form a
-    value of _WORD_LIMIT or more in absolute value. The entries are counts,
-    and each engine's docstring proves that a step forms only values below
-    4 * (n_terms + 4) * M in absolute value, M the largest entry of the
+    """Whether the next step of `_layered` might form a value of
+    _WORD_LIMIT or more in absolute value: `_layered` proves that no value
+    it forms reaches 4 * (n_terms + 4) * M, M the largest entry of the
     arrays. Object arrays are exact already, so for them this is false."""
     if arrays[0].dtype == object:
         return False
@@ -97,11 +94,60 @@ def _past_word_bound(arrays, n_terms):
     return 4 * (n_terms + 4) * top >= _WORD_LIMIT
 
 
-def _to_exact(arrays):
-    """Make a list of int64 arrays exact Python ints in place, one array at
-    a time, so that at most one int64 array is held beside the new ones."""
-    for i, g in enumerate(arrays):
-        arrays[i] = g.astype(object)
+def _layered(n_terms, blocks, own, new_values):
+    """The step loop of the layered 000 and 100 engines, X = K for 000 and
+    X = m for 100; the count at length 1 is 1.
+
+    Both recurrences open with the same two range sums, the erasure of a
+    value, read from the X-1 layer. Block X holds the states l < X as an
+    array [l+1, a], rows l+1 = 0..X; a new block has one column fewer at
+    each end than old block X-1. With cs the row prefix sums of old block
+    X-1, in place (row X-1 holds the column totals), a state l < X erases
+    to cs[l, a-1] + cs[X-1, a] - cs[l, a] (no cs[l] terms at l = -1). So
+    row 0 of new block X is c[a] = cs[X-1, a] + W_X[a], W_X the engine's
+    new-value terms, and row l+1 >= 1 is cs[l, a-1] - cs[l, a] + c[a]:
+    plain slicing. The engine holds the states l >= X, whose erasure is the
+    total E_X[a] = cs[X-1, a-1]. Block 0 erases nothing and is W_0. Each
+    old block is dropped once read, so a step holds about one layer.
+
+    `new_values(own, old, d)` is a generator for the step to depth d: it
+    yields W_0; sent the row E_X = cs[X-1], it yields W_X, X = 1..d+1 (an
+    empty W_X builds no block); sent the new blocks, it yields the count.
+    It replaces the engine's arrays, `own`, in place; `old` holds the old
+    blocks above X-1 as stored.
+
+    Word bound (`_past_word_bound`, over the blocks and `own`): all entries
+    are counts, so with M the largest and N = n_terms, a step forms only
+    values below 4(N+4)M in absolute value. Every prefix or running sum
+    adds at most N+1 entries, so lies in [0, (N+1)M]. With W_X in [0, w],
+    c lies in [0, (N+1)M + w] and a row l+1 >= 1 in [-(N+1)M, 2(N+1)M + w].
+    100: w = (N+1)M, and each partial sum of a diagonal entry (D + t + E_m)
+    is at most (2N+3)M. 000: w = (N+2)M, each partial sum of Z is at most
+    (2N+3)M, and a group entry, an R difference plus Z, lies in
+    [-(N+1)M, (3N+4)M].
+    """
+    terms = [1]
+    for step in range(1, n_terms):
+        d = n_terms - 1 - step
+        if _past_word_bound(blocks + own, n_terms):
+            for arrays in (blocks, own):   # one int64 array held at a time
+                for i, g in enumerate(arrays):
+                    arrays[i] = g.astype(object)
+        old, part = blocks, new_values(own, blocks, d)
+        blocks = [next(part)[None, :]]
+        for X in range(1, d + 2):
+            cs, old[X - 1] = old[X - 1], None
+            np.cumsum(cs, axis=0, out=cs)
+            W = part.send(cs[-1])
+            if len(W):
+                c = cs[-1, 1:-1] + W
+                g = np.empty((X + 1, len(c)), dtype=c.dtype)
+                g[0] = c
+                np.subtract(cs[:, :-2], cs[:, 1:-1], out=g[1:])
+                g[1:] += c
+                blocks.append(g)
+        terms.append(int(part.send(blocks)))
+    return CoefficientSeries(terms, first_index=1)
 
 
 def enumerate_ascent(n_terms: int) -> CoefficientSeries:
@@ -112,10 +158,11 @@ def enumerate_ascent(n_terms: int) -> CoefficientSeries:
     rows a and a+1 of the previous layer, f(n, a, l) = c[l] + u[a+1] - u[l],
     so a step is one `accumulate` per row and one `zip` per new row.
 
-    The layer stays in lists of exact ints: an int64 phase under the word
-    bound of the 000 and 100 engines would cover too little of the work.
-    At n=200 only 11% of the entries read (156828 of 1373498) fall in the 8
-    steps whose layer maximum M keeps 4(N+4)M below _WORD_LIMIT.
+    Not a `_layered` engine: ascent erases no value, so it has no blocks.
+    Its layer stays in lists of exact ints, since an int64 phase under the
+    word bound would cover too little of the work: at n=200 only 11% of
+    the entries read (156828 of 1373498) fall in the 8 steps whose layer
+    maximum M keeps 4(N+4)M below _WORD_LIMIT.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -147,31 +194,16 @@ def enumerate_100(n_terms: int) -> CoefficientSeries:
                + sum_{i=max(m,l+1)}^{a+1} f(n-1, a+1, i, i)
                + [l=m] f(n-1, a, m, m)
 
-    Block m holds the entries l < m as an array [l+1, a-m+1], a = m-1..d-2
-    (block 0 has an all-zero column a = -1, which holds no states), and the
-    diagonal l = m of every block is one array D[m, a+1], a <= d. A step
-    from depth d+1 to d reads old block columns up to a = d-1 for the new
-    diagonal and up to d-2 for the new blocks, so no block column past its
-    depth minus 2 is ever read, and none is stored.
-
-    Let cs be the row prefix sums of old block m-1, all m rows of which are
-    read (its last row holds the column totals), and t[m, a+2] the sum of
+    `_layered` steps the first two, in block m, columns a = m-1..d-2 at
+    depth d (block 0 has an all-zero column a = -1, which holds no states).
+    The new-value part is the diagonal l = m of every block, one array
+    D[m, a+1], a <= d: a step to depth d reads old block columns up to
+    a = d-1 for it and up to d-2 for the new blocks, so no block column
+    past its depth minus 2 is read or stored. With t[m, a+2] the sum of
     f(n-1, a+1, j, j) over j = m..a+1, one reversed cumsum over the strict
-    upper triangle of the old D. Row 0 of new block m is
-    c[a] = cs[m-1, a] + t[m, a+2], and row l+1 >= 1 is
-    cs[l, a-1] - cs[l, a] + c[a]: old columns a-1 and a are adjacent, so a
-    new block is plain slicing with no gather. The diagonal is
-    cs[m-1, a-1] + t[m+1, a+2] + f(n-1, a, m, m), whole-array over D but
-    for the totals cs[m-1] of each block. Each old block is prefix-summed
-    in place and dropped once read, so a step holds about one layer.
-
-    Word bound (`_past_word_bound`): every entry is a count, so with M the
-    largest entry of the old blocks and D and N = n_terms, a step forms
-    only values below 4(N+4)M in absolute value. An old block has m <= N
-    rows and D has at most N+1 columns, so cs and t lie in [0, (N+1)M];
-    each partial sum of a new diagonal entry (D + t + cs) is at most
-    (2N+3)M, c is at most (2N+2)M, and a row l+1 >= 1 is a difference in
-    [-(N+1)M, (N+1)M] plus c, so it lies in [-(N+1)M, (3N+3)M].
+    upper triangle of the old D, W_m[a] = t[m, a+2], and the new diagonal
+    is E_m[a] + t[m+1, a+2] + f(n-1, a, m, m), whole-array over D but for
+    the erase totals E_m.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -179,28 +211,18 @@ def enumerate_100(n_terms: int) -> CoefficientSeries:
     blocks = [np.ones((m + 1, d - m), dtype=np.int64) for m in range(d + 1)]
     D = np.triu(np.ones((d + 2, d + 2), dtype=np.int64))
     blocks[0][0, :1] = D[:, 0] = 0   # a = -1 holds no states
-    terms = [1]
-    for step in range(1, n_terms):
-        d = n_terms - 1 - step
-        if _past_word_bound([D, *blocks], n_terms):
-            D = D.astype(object)
-            _to_exact(blocks)
+
+    def new_values(own, old, d):
+        D = own[0]
         t = np.cumsum(np.triu(D, 1)[::-1], axis=0)[::-1]
-        D = D[:d + 2, :d + 2] + t[1:, 1:]
-        old, blocks = blocks, [np.concatenate(([0], t[0, 2:d + 1]))[None, :]]
+        own[0] = D = D[:d + 2, :d + 2] + t[1:, 1:]
+        E = yield np.concatenate(([0], t[0, 2:d + 1]))
         for m in range(1, d + 2):
-            cs, old[m - 1] = old[m - 1], None
-            np.cumsum(cs, axis=0, out=cs)
-            D[m, m:] += cs[-1]
-            if m < d:
-                c = cs[-1, 1:-1] + t[m, m + 1:d + 1]
-                g = np.empty((m + 1, d - m), dtype=D.dtype)
-                g[0] = c
-                np.subtract(cs[:, :-2], cs[:, 1:-1], out=g[1:])
-                g[1:] += c
-                blocks.append(g)
-        terms.append(int(D[0, 1]))
-    return CoefficientSeries(terms, first_index=1)
+            D[m, m:] += E
+            E = yield t[m, m + 1:d + 1]
+        yield D[0, 1]
+
+    return _layered(n_terms, blocks, [D], new_values)
 
 
 def enumerate_000_polynomial(n_terms: int) -> CoefficientSeries:
@@ -208,7 +230,7 @@ def enumerate_000_polynomial(n_terms: int) -> CoefficientSeries:
     values compressed to its cardinality K, O(n^4) states.
 
     Canonically S = {0..K-1}, so letter i repeats iff i < K. Erasures shift a
-    and l exactly as in the exponential recursion. Slices extend to a = -2
+    and l exactly as in the exponential recursion. Block 0 extends to a = -2
     because erasing value 0 at a = 0 is legal; a = -2 admits no letters.
 
     f(n,a,l,K) = sum_{i=0}^{min(l,K-1)} f(n-1, a-1, i-1, K-1)
@@ -216,64 +238,42 @@ def enumerate_000_polynomial(n_terms: int) -> CoefficientSeries:
                + sum_{i=K}^{min(l,a+1)} f(n-1, a,   i,   K+1)
                + sum_{i=max(K,l+1)}^{a+1} f(n-1, a+1, i, K+1)
 
-    Slice a, at index a+2 of a list, is an (a+4) x (a+3) array [l+2, K]
-    whose row 0 is zero. A step prefix-sums each old slice down its rows in
-    place; with P, Q and U those of slices a-1, a and a+1 (row r sums the
-    entries with l+2 <= r, and a gather at K = 0 reads column -1 only from
-    the zero row), an entry with l < K reads
-        P[l+1, K-1] - Q[l+1, K-1] + (Q[K, K-1] + U[a+3, K+1] - U[K+1, K+1])
-    and one with l >= K reads
-        Q[l+2, K+1] - U[l+2, K+1] + (P[K, K-1] + U[a+3, K+1] - Q[K+1, K+1]),
-    each a gather plus a per-column constant, so a new slice takes two
-    gathers over its two triangles. Old slice a-1 is dropped once new slice
-    a is built, so a step holds about one layer.
-
-    Word bound (`_past_word_bound`): every entry is a count, so with M the
-    largest entry of the old layer and N = n_terms, a step forms only
-    values below 4(N+4)M in absolute value. A slice has a+3 <= N+2 nonzero
-    rows, so P, Q and U lie in [0, (N+2)M]; each partial sum of c_up or
-    c_lo lies in [-(N+2)M, 2(N+2)M], and so does the constant itself, and
-    a gathered difference in [-(N+2)M, (N+2)M] plus its constant lies in
-    [-3(N+2)M, 3(N+2)M].
+    `_layered` steps the first two, in block K, columns a = K-2..d at depth
+    d. The states l >= K are one group per l, an array [K, a], K = 0..l,
+    a = l-1..d. A step first sums the old groups in place into
+    R_l[K', a] = sum_{i=K'}^{l} f(n-1, a, i, K'), with T[K', l] = R_l[K', l].
+    Block K reads W_K[a] = f(n-1, a+1, K, K+1) + T[K+1, a+1] (0 at a = K-2,
+    where the fourth sum is empty), and with its erase totals E_K gives the
+    row Z_K[a] = E_K[a] + f(n-1, a, K, K+1) + T[K+1, a+1]. A new group is
+    f(n,a,l,K) = R_l[K+1, a] - R_l[K+1, a+1] + Z_K[a] (R_l[l+1] = 0), plain
+    slicing of old group l. Depth d reads only groups l <= d and blocks
+    K <= d+1, and stores no others.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    layer = [np.ones((a + 4, a + 3), dtype=np.int64) for a in range(-2, n_terms)]
-    for g in layer:
-        g[0] = 0
-    # (K, l+1) for l < K, column by column, and (l+1, K) for l >= K, row by
-    # row, so that each slice's entries are a prefix
-    up_k, up_r = np.tril_indices(n_terms + 1)
-    lo_r, lo_k = np.tril_indices(n_terms + 1, -1)
-    terms = [1]
-    for step in range(1, n_terms):
-        d = n_terms - 1 - step
-        if _past_word_bound(layer, n_terms):
-            _to_exact(layer)
-        old, layer = layer, [np.zeros((2, 1), dtype=layer[0].dtype)]
-        # each old slice is summed as it is first read: summing all up front
-        # holds the same data but measured a higher peak RSS
-        for g in old[:2]:
-            np.cumsum(g, axis=0, out=g)
-        for a in range(-1, d + 1):
-            w = a + 3
-            P, Q, U = old[a + 1:a + 4]
-            np.cumsum(U, axis=0, out=U)
-            i = np.arange(w)
-            top = U[w, 1:]                      # U[a+3, K+1], K = 0..a+2
-            c_up = Q[i, i - 1] + top - U[i + 1, i + 1]
-            c_lo = P[i[:-1], i[:-1] - 1] + top[:-1] - Q[i[1:], i[1:]]
-            g = np.zeros((w + 1, w), dtype=P.dtype)
-            k = w * (w + 1) // 2
-            r, K = up_r[:k], up_k[:k]
-            g[r + 1, K] = P[r, K - 1] - Q[r, K - 1] + c_up[K]
-            k = w * (w - 1) // 2
-            r, K = lo_r[:k], lo_k[:k]
-            g[r + 1, K] = Q[r + 1, K + 1] - U[r + 1, K + 1] + c_lo[K]
-            layer.append(g)
-            old[a + 1] = None
-        terms.append(int(layer[2][2, 1]))
-    return CoefficientSeries(terms, first_index=1)
+    d = n_terms - 1
+    blocks = [np.ones((K + 1, d - K + 3), dtype=np.int64) for K in range(d + 2)]
+    groups = [np.ones((l + 1, d - l + 2), dtype=np.int64) for l in range(d + 1)]
+
+    def new_values(groups, old, d):
+        T = np.zeros((d + 3, d + 2), dtype=groups[0].dtype)
+        for l in range(d + 2):
+            if l:
+                groups[l][:l] += groups[l - 1][:, 1:]
+            T[:l + 1, l] = groups[l][:, 1]
+        Z = np.zeros((d + 2, d + 2), dtype=T.dtype)   # Z[K, a+1]
+        E = np.zeros(d + 5, dtype=T.dtype)   # block 0 erases nothing
+        for K in range(d + 2):
+            F = old[K + 1][-1]   # f(n-1, a, K, K+1), a = K-1..d+1
+            Z[K, K:] = E[1:-2] + F[:-1] + T[K + 1, K:]
+            E = yield np.concatenate(([0], F[1:] + T[K + 1, K:]))
+        for l in range(d + 1):
+            R, groups[l] = groups[l], Z[:l + 1, l:].copy()
+            groups[l][:-1] += R[1:, :-1] - R[1:, 1:]
+        groups.pop()
+        yield E[1][1, 1]   # sent the new blocks: l = 0 < K = 1 at a = 0
+
+    return _layered(n_terms, blocks, groups, new_values)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ brute-force-verified. It is marked xfail(strict) with the measured fraction
 printed; see the bijection-pair clause for what is actually provable.
 """
 
+import hashlib
 import math
 import os
 import time
@@ -184,6 +185,19 @@ def test_deep_series_lower_bounds_and_supermultiplicativity(criterion4_series, c
     assert all(c110.at(3 * n) >= math.factorial(n) for n in range(1, 11))
     assert all(c120_50.at(m + n) >= c120_50.at(m) * c120_50.at(n)
                for m in range(1, 50) for n in range(1, 51 - m))
+
+
+def test_deep_layered_series_digests(criterion4_series, tmp_path):
+    # the deep 000 and 100 series pinned whole by their b-file digests:
+    # their first 120 and 76 terms are perfbench/ref, and the lower-bound
+    # test above reads the rest only against n!
+    want = {"poly200": ("efbada08a16877ab913ab531ae6476e8e25a6f77d377e37bde1c7075ca5901db", 24799),
+            "c100_300": ("d611c26557526b49c2ac82d9e931223100e568756b67c897882e336db8674e62", 56862)}
+    for key, (digest, size) in want.items():
+        path = tmp_path / f"{key}.b"
+        aio.write_bfile(path, criterion4_series[key])
+        data = path.read_bytes()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size), key
 
 
 @pytest.mark.xfail(strict=True, reason="spec overstatement: the swap lemma "

@@ -174,7 +174,7 @@ def _full_run(engine, n_terms):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(LAYERED), st.integers(1, PREFIX_N))
 def test_layered_prefix_consistency(engine, n):
-    # slice bounds depend on n_terms, so a short run exercises other edges
+    # array bounds depend on n_terms, so a short run exercises other edges
     assert engine(n).values == _full_run(engine, PREFIX_N)[:n]
 
 
@@ -265,6 +265,24 @@ def test_layered_engines_switch_to_exact_ints_past_the_word_bound(monkeypatch):
             switched.append(checks.index(True) + 1)
         assert switched[0] == 1, engine.__name__
         assert switched == sorted(set(switched)) and switched[-1] < RECURRENCE_N - 1
+
+
+def test_layered_int64_phase_length(monkeypatch):
+    # the series stay right if the int64 phase ends early, so pin its end:
+    # the first exact step of 000 n=64 and 100 n=76, the benchmark depths
+    checks = []
+    past = dp._past_word_bound
+
+    def recording(arrays, n_terms):
+        checks.append(past(arrays, n_terms))
+        return checks[-1]
+
+    monkeypatch.setattr(dp, "_past_word_bound", recording)
+    for engine, n, first in ((dp.enumerate_000_polynomial, 64, 11),
+                             (dp.enumerate_100, 76, 10)):
+        checks.clear()
+        engine(n)
+        assert (checks.index(True) + 1, len(checks)) == (first, n - 1), engine.__name__
 
 
 SETSTATE_PREFIX_N = {dp.enumerate_000_exponential: 20, dp.enumerate_110: 26,
